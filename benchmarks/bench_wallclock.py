@@ -16,10 +16,10 @@ must match (wall seconds, of course, vary).  ``--check-against`` fails
 (exit 1) if any tracked experiment is more than ``--threshold`` times
 slower than the committed baseline, or if the kernel microbench drops
 below ``--kernel-floor`` (default 35%) of the baseline's events/sec —
-a ratchet against the scheduling core quietly losing its calendar-queue
-and chain optimisations.  ``--profile [N]`` additionally re-runs each
-experiment under cProfile and records its top-N cumulative frames under
-the entry's ``hotspots`` key.
+a ratchet against the scheduling core quietly losing its sole-runnable
+chain.  ``--profile [N]`` additionally re-runs each experiment under
+cProfile and records its top-N cumulative frames under the entry's
+``hotspots`` key.
 
 Simulated results are wall-clock independent, so quick-mode timings are
 a faithful *relative* trajectory even though absolute numbers are small.
@@ -45,8 +45,8 @@ KERNEL_EVENTS = 200_000
 def bench_kernel(events: int = KERNEL_EVENTS, repeats: int = 3) -> dict:
     """Events/sec through the simulation kernel's scheduling hot path.
 
-    Alternates timed and zero-delay waits so both the calendar queue and
-    the ready-deque fast path are exercised.  Best-of-``repeats`` so the
+    Alternates timed and zero-delay waits so both the timer heap and the
+    ready-deque fast path are exercised.  Best-of-``repeats`` so the
     committed number reflects the kernel, not a scheduler hiccup.
     """
     from repro.simnet.kernel import Simulator, Timeout
@@ -117,7 +117,7 @@ def bench_experiment(
     args.runner = None
     pool = None
     if jobs > 1:
-        from repro.harness.parallel import PoolRunner, make_pool
+        from repro.grid.cells import PoolRunner, make_pool
 
         pool = make_pool(jobs)
         args.runner = PoolRunner(pool, jobs)
@@ -186,8 +186,9 @@ def bench_migration() -> dict:
 #: CI floor for kernel.events_per_s as a fraction of the committed
 #: baseline.  Deliberately loose: shared CI runners are routinely 2-3x
 #: slower than the machine that produced the baseline, so the ratchet
-#: only catches order-of-magnitude regressions (e.g. the calendar queue
-#: silently degenerating to per-event heap churn), not runner jitter.
+#: only catches order-of-magnitude regressions (e.g. the sole-runnable
+#: chain silently disengaging so every event round-trips through the
+#: queues), not runner jitter.
 KERNEL_FLOOR_FRACTION = 0.35
 
 
@@ -260,7 +261,7 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", "-j", type=int, default=1,
                         help="worker processes per experiment run")
     parser.add_argument("--skip-kernel", action="store_true",
-                        help="skip the kernel events/sec and queue microbenches")
+                        help="skip the kernel events/sec microbench")
     parser.add_argument("--skip-migration", action="store_true",
                         help="skip the live-migration spike bench")
     parser.add_argument("--profile", type=int, nargs="?", const=15, default=0,
@@ -289,16 +290,6 @@ def main(argv=None) -> int:
     if not args.skip_kernel:
         result["kernel"] = bench_kernel()
         print(f"[bench] kernel: {result['kernel']['events_per_s']:,} events/s")
-        from bench_kernel_queue import run_benchmarks as run_queue_benchmarks
-
-        result["kernel_queue"] = run_queue_benchmarks()
-        for mix, entry in sorted(result["kernel_queue"].items()):
-            print(
-                f"[bench] kernel_queue/{mix}: heap "
-                f"{entry['heap']['events_per_s']:,} ev/s, calendar "
-                f"{entry['calendar']['events_per_s']:,} ev/s "
-                f"({entry['calendar_vs_heap']}x)"
-            )
     if not args.skip_migration:
         result["migration"] = bench_migration()
         print(

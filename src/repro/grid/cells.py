@@ -27,10 +27,8 @@ Four cell kinds cover every experiment:
 * ``engine_run``  — one raw engine run with a named cost strategy
   (the compiled-vs-interpreted ablation), a scenario under the hood.
 
-This module used to live at ``repro.harness.parallel``; it moved below
-the grid layer so declarative grids can expand into cells without an
-upward import, and ``harness.parallel`` re-exports everything for
-back-compat.
+The cells live below the harness, in the grid layer, so declarative
+grids can expand into cells without an upward import.
 """
 
 from __future__ import annotations

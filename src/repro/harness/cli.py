@@ -687,7 +687,7 @@ def _run_parallel(targets: list, args, jobs: int) -> int:
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    from repro.harness.parallel import PoolRunner, make_pool
+    from repro.grid.cells import PoolRunner, make_pool
 
     with make_pool(jobs) as pool:
         args.runner = PoolRunner(pool, jobs)

@@ -1,7 +1,7 @@
 """The engine registry: one name → factory table for every system.
 
 Replaces the if/elif chains that used to live in ``harness/runner.py``
-and ``harness/parallel.py``.  Each entry carries the engine's capability
+and the sweep-cell runners.  Each entry carries the engine's capability
 flags, so sweeps and the chaos/sanitize harnesses can gate features
 (`fault injection on LightSaber`) *before* a run starts, and the CLI can
 suggest close names on typos.

@@ -16,19 +16,16 @@ Determinism: events scheduled for the same timestamp fire in scheduling
 order (a monotonically increasing sequence number breaks ties), so a run is
 a pure function of the initial state.
 
-Scheduling is backed by a *calendar queue* rather than a single binary
-heap: events for the same timestamp live together in one bucket, buckets
-are ordered by a small heap of **distinct** timestamps, and the earliest
-bucket is cached front-and-centre so the common case — one or a handful of
-outstanding timers — never touches the heap or the bucket dict at all.
-See :class:`Simulator` for the full structure, and ``docs/performance.md``
-for the design rationale and measured numbers.
+Scheduling is backed by one binary heap of timed events next to a FIFO
+deque of zero-delay ones; a cancelled timer stays in the heap as a
+tombstone until it surfaces.  See :class:`Simulator` for the structure,
+and ``docs/performance.md`` for the design rationale and measured numbers.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.common.errors import SimulationError
@@ -43,9 +40,11 @@ ProcessGen = Generator[Any, Any, Any]
 # * plain callbacks carry None in slot 2, the callable in 3 and its args
 #   tuple in 4.
 #
-# Zero-delay events go on the ready deque as immutable tuples; timed
-# events go in calendar buckets as *lists* so a cancellation token can be
-# honoured by removing the entry from its bucket before it ever fires.
+# Zero-delay events go on the ready deque, timed events on the heap.
+# Entries are lists, compared as lists by (when, seq) — seq is unique, so
+# a comparison never reaches slot 2 — and mutable, so a cancellation token
+# can turn a timed entry into a tombstone in place: a callback entry (slot
+# 2 None) whose callback slot 3 is None.
 
 
 class Waitable:
@@ -81,14 +80,13 @@ class _CancelHandle:
 
 
 class _TimerHandle(_CancelHandle):
-    """Cancellation token for a timed calendar-queue entry.
+    """Cancellation token for a timed heap entry.
 
-    Cancelling removes the entry from its bucket, so a dead timer (an RTO
-    that lost its race to the ACK) stops occupying the queue immediately
-    instead of surviving to its deadline as dead weight.  Cancelling an
-    entry that already fired — or that sits in a bucket currently being
-    dispatched — is a no-op returning False; the subscriber's own guard
-    (e.g. FirstOf's ``done`` flag) keeps such late fires harmless.
+    Cancelling sets the entry's callback slot to None, leaving a tombstone
+    the run loop drops without moving the clock, so a dead timer (an RTO
+    that lost its race to the ACK) never fires and stops counting as
+    pending.  Cancelling an entry that already fired is a no-op returning
+    False.
     """
 
     __slots__ = ("_sim", "_entry")
@@ -103,29 +101,17 @@ class _TimerHandle(_CancelHandle):
             return False
         self._entry = None
         sim = self._sim
-        when = entry[0]
-        if when == sim._head_when:
-            bucket = sim._head
-            try:
-                bucket.remove(entry)
-            except ValueError:
-                return False
-            sim.cancelled_events += 1
-            if not bucket:
-                sim._refill_head()
-            return True
-        bucket = sim._buckets.get(when)
-        if bucket is None:
+        heap = sim._heap
+        # Entries leave the heap in (when, seq) order and the clock follows
+        # them, so only a same-instant entry can have fired unseen.
+        if entry[0] < sim._now or (entry[0] == sim._now and entry not in heap):
             return False
-        try:
-            bucket.remove(entry)
-        except ValueError:
-            return False
+        entry[3] = None
         sim.cancelled_events += 1
-        if not bucket:
-            # The timestamp stays in the time-heap as a stale key; the
-            # head refill skips timestamps whose bucket is gone.
-            del sim._buckets[when]
+        # Keep the heap top live so a heap holding only tombstones does not
+        # block the sole-runnable chain.
+        while heap and heap[0][2] is None and heap[0][3] is None:
+            heappop(heap)
         return True
 
 
@@ -165,26 +151,15 @@ class Timeout(Waitable):
         self.value = value
 
     def _subscribe(self, sim: "Simulator", callback: Callable[[Any, Optional[BaseException]], None]) -> None:
-        seq = sim._seq = sim._seq + 1
-        if self.delay == 0.0:
-            sim._ready.append((sim._now, seq, None, callback, (self.value, None)))
-        else:
-            when = sim._now + self.delay
-            sim._push_timed(when, [when, seq, None, callback, (self.value, None)])
+        sim._schedule(self.delay, None, callback, (self.value, None))
 
     def _subscribe_cancellable(
         self, sim: "Simulator", callback: Callable[[Any, Optional[BaseException]], None]
     ) -> Optional[_CancelHandle]:
-        seq = sim._seq = sim._seq + 1
-        if self.delay == 0.0:
-            # Ready-deque entries are immutable tuples and fire within the
-            # current instant anyway; not worth a token.
-            sim._ready.append((sim._now, seq, None, callback, (self.value, None)))
-            return None
-        when = sim._now + self.delay
-        entry = [when, seq, None, callback, (self.value, None)]
-        sim._push_timed(when, entry)
-        return _TimerHandle(sim, entry)
+        entry = sim._schedule(self.delay, None, callback, (self.value, None))
+        # Ready-deque entries fire within the current instant anyway; not
+        # worth a token.
+        return None if entry is None else _TimerHandle(sim, entry)
 
     def __repr__(self) -> str:
         return f"Timeout({self.delay!r})"
@@ -294,10 +269,10 @@ class FirstOf(Waitable):
     *fails* first propagates its exception instead.  This is the race
     primitive behind every timeout-guarded wait (e.g. "completion ACK or
     retransmission timer, whichever comes first").  When the winner fires,
-    the losers' subscriptions are *cancelled*: a losing timer is removed
-    from the event queue instead of surviving to its deadline as dead
-    weight, and a losing signal subscription is dropped from the waiter
-    list — so one-shot signals remain usable by other waiters, and
+    the losers' subscriptions are *cancelled*: a losing timer becomes a
+    tombstone that never fires instead of surviving to its deadline as a
+    live event, and a losing signal subscription is dropped from the
+    waiter list — so one-shot signals remain usable by other waiters, and
     RTO-heavy runs stop accumulating doomed timers.
     """
 
@@ -352,8 +327,7 @@ class Process(Waitable):
         self.name = name or getattr(gen, "__name__", "process")
         self._done = Signal(name=f"{self.name}.done")
         self._failure_observed = False
-        seq = sim._seq = sim._seq + 1
-        sim._ready.append((sim._now, seq, self, None, None))
+        sim._schedule(0.0, self, None, None)
 
     # -- public ----------------------------------------------------------
     @property
@@ -397,14 +371,7 @@ class Process(Waitable):
         if type(item) is Timeout:
             # The overwhelmingly common yield: schedule the resumption as a
             # process entry directly, skipping the generic subscribe path.
-            sim = self.sim
-            seq = sim._seq = sim._seq + 1
-            delay = item.delay
-            if delay == 0.0:
-                sim._ready.append((sim._now, seq, self, item.value, None))
-            else:
-                when = sim._now + delay
-                sim._push_timed(when, [when, seq, self, item.value, None])
+            self.sim._schedule(item.delay, self, item.value, None)
             return
         if not isinstance(item, Waitable):
             self._step(None, SimulationError(
@@ -513,44 +480,32 @@ class Store:
 
 
 class Simulator:
-    """The event loop: a calendar queue of timestamp buckets plus a ready deque.
+    """The event loop: one binary heap of timed events plus a ready deque.
 
-    Three scheduling structures back the loop:
+    Two scheduling structures back the loop:
 
     * a FIFO **ready deque** for zero-delay events (signal wake-ups,
       process launches, store hand-offs).  Since simulated time never goes
       backwards and sequence numbers grow monotonically, the deque is
       always sorted by ``(when, seq)``;
-    * a **front cache** — ``_head`` is the bucket (list of entries, in seq
-      order) for the earliest pending timestamp ``_head_when``.  With one
-      or a few outstanding timers, scheduling and dispatch touch only this
-      list: no heap push/pop, no dict lookups;
-    * the **calendar overflow** — ``_buckets`` maps each further distinct
-      timestamp to its entry list and ``_times`` is a heap of those
-      timestamps.  Every overflow timestamp is strictly later than
-      ``_head_when``, and each distinct timestamp appears in ``_times`` at
-      most once per residency (cancellation can strand a stale key, which
-      the head refill skips).
+    * a **heap** of timed entries ordered by ``(when, seq)``.  Cancelling
+      a timer leaves a tombstone in place (see :class:`_TimerHandle`); the
+      loop drops tombstones as they surface, without moving the clock.
 
-    The run loop merges the ready deque against the head bucket by
-    ``(when, seq)`` and dispatches whole same-timestamp buckets in one go,
-    amortising comparisons and sanitizer hooks across the batch.  When a
-    dispatched process yields a :class:`Timeout` and is provably the *sole
-    runnable* (both queues empty, no pending failures, no sanitizer, no
-    ``until``/``limit`` horizon), the loop resumes the generator directly
-    — the scheduled event is accounted for in ``scheduled_events`` but
-    never materialised, which is where the multi-million events/s
-    headline comes from.
+    Each step of the loop fires the earlier of the two queue heads by
+    ``(when, seq)``.  When a dispatched process yields a :class:`Timeout`
+    and is provably the *sole runnable* (both queues empty, no pending
+    failures, no sanitizer, no ``until``/``limit`` horizon), the loop
+    resumes the generator directly — the scheduled event is accounted for
+    in ``scheduled_events`` but never materialised, which is where the
+    multi-million events/s headline comes from.
     """
 
     def __init__(self):
         self._now = 0.0
         self._seq = 0
         self._ready: deque = deque()
-        self._head_when: Optional[float] = None
-        self._head: list = []
-        self._buckets: dict[float, list] = {}
-        self._times: list[float] = []
+        self._heap: list[list] = []
         self._unobserved_failures: list[tuple[Process, BaseException]] = []
         self._watch: Optional[Process] = None
         #: Timers dropped early by cancellation (FirstOf losers).
@@ -592,70 +547,31 @@ class Simulator:
 
     @property
     def pending_timers(self) -> int:
-        """Live timed entries currently resident in the calendar queue."""
-        count = len(self._head)
-        for bucket in self._buckets.values():
-            count += len(bucket)
-        return count
+        """Live timed entries in the heap; tombstones do not count."""
+        return sum(1 for entry in self._heap if entry[2] is not None or entry[3] is not None)
 
     # -- scheduling --------------------------------------------------------
     def call_in(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past: delay={delay}")
+        self._schedule(delay, None, callback, args)
+
+    def _schedule(
+        self, delay: float, proc: Optional[Process], value_or_cb: Any, exc_or_args: Any
+    ) -> Optional[list]:
+        """Queue one entry ``delay`` seconds from now.
+
+        Returns the heap entry of a timed event (the target of a
+        cancellation token), or None for a zero-delay one.
+        """
         seq = self._seq = self._seq + 1
         if delay == 0.0:
-            self._ready.append((self._now, seq, None, callback, args))
-        else:
-            when = self._now + delay
-            self._push_timed(when, [when, seq, None, callback, args])
-
-    def _push_timed(self, when: float, entry: list) -> None:
-        head_when = self._head_when
-        if when == head_when:
-            self._head.append(entry)
-        elif head_when is None:
-            self._head_when = when
-            self._head.append(entry)
-        else:
-            self._push_overflow(when, entry)
-
-    def _push_overflow(self, when: float, entry: list) -> None:
-        """Slow path of :meth:`_push_timed`: ``when`` differs from the head."""
-        head_when = self._head_when
-        if when < head_when:
-            # Demote the current head bucket into the calendar and make
-            # the new, earlier timestamp the front.
-            bucket = self._buckets.get(head_when)
-            if bucket is None:
-                self._buckets[head_when] = self._head
-                heapq.heappush(self._times, head_when)
-            else:
-                bucket.extend(self._head)
-            self._head_when = when
-            self._head = [entry]
-            return
-        bucket = self._buckets.get(when)
-        if bucket is None:
-            self._buckets[when] = [entry]
-            heapq.heappush(self._times, when)
-        else:
-            bucket.append(entry)
-
-    def _refill_head(self) -> None:
-        """Promote the earliest calendar bucket into the front cache,
-        skipping timestamps stranded by cancellation."""
-        times = self._times
-        buckets = self._buckets
-        while times:
-            when = heapq.heappop(times)
-            bucket = buckets.pop(when, None)
-            if bucket:
-                self._head_when = when
-                self._head = bucket
-                return
-        self._head_when = None
-        self._head = []
+            self._ready.append([self._now, seq, proc, value_or_cb, exc_or_args])
+            return None
+        entry = [self._now + delay, seq, proc, value_or_cb, exc_or_args]
+        heappush(self._heap, entry)
+        return entry
 
     def process(self, gen: ProcessGen, name: str = "") -> Process:
         """Launch a generator as a simulation process."""
@@ -678,128 +594,107 @@ class Simulator:
         return Store(self, name=name)
 
     # -- dispatch ----------------------------------------------------------
-    def _fire(self, entry, chain: bool) -> None:
-        """Dispatch one popped entry.
+    def _resume(self, proc: Process, value: Any, exc: Optional[BaseException], chain: bool) -> None:
+        """Step a process whose entry was just popped.
 
-        Process entries step the generator inline.  While ``chain`` is
-        true and the process is the sole runnable — it yielded a Timeout,
-        both queues are empty, nothing failed, no sanitizer — the loop
-        keeps driving the same generator without ever materialising the
-        event, advancing ``_now``/``_seq`` exactly as the queue would
-        have.  The chain breaks out to a normal subscription the moment
-        any condition stops holding, so ordering is untouched.
+        While ``chain`` is true and the process is the sole runnable — it
+        yielded a Timeout, both queues are empty, nothing failed, no
+        sanitizer — the loop keeps driving the same generator without ever
+        materialising the event, advancing ``_now``/``_seq`` exactly as the
+        queue would have.  The chain breaks out to a normal subscription
+        the moment any condition stops holding, so ordering is untouched.
         """
-        proc = entry[2]
-        if proc is not None:
-            value = entry[3]
-            exc = entry[4]
-            gen = proc.gen
-            send = gen.send
-            ready = self._ready
-            failures = self._unobserved_failures
-            watch = self._watch
-            while True:
-                try:
-                    if exc is None:
-                        item = send(value)
-                    else:
-                        item = gen.throw(exc)
-                except StopIteration as stop:
-                    proc._done.fire(stop.value)
-                    return
-                except BaseException as failure:  # noqa: BLE001 - deliberate capture
-                    self._note_failure(proc, failure)
-                    proc._done.fail(failure)
-                    return
-                is_timeout = type(item) is Timeout
-                if (
-                    is_timeout
-                    and chain
-                    and not ready
-                    and self._head_when is None
-                    and not failures
-                    and self.sanitize is None
-                    and (watch is None or not watch._done._fired)
-                ):
-                    self._seq += 1
-                    delay = item.delay
-                    if delay != 0.0:
-                        self._now += delay
-                    value = item.value
-                    exc = None
-                    continue
-                # Something else is pending (or chaining is off): fall back
-                # to an ordinary subscription and return to the merge loop.
-                if is_timeout:
-                    seq = self._seq = self._seq + 1
-                    delay = item.delay
-                    if delay == 0.0:
-                        ready.append((self._now, seq, proc, item.value, None))
-                    else:
-                        when = self._now + delay
-                        self._push_timed(when, [when, seq, proc, item.value, None])
-                elif isinstance(item, Waitable):
-                    item._subscribe(self, proc._step)
-                else:
-                    proc._step(None, SimulationError(
-                        f"process {proc.name!r} yielded {item!r}, expected a Waitable"
-                    ))
-                return
-        callback = entry[3]
-        if callback is not None:
-            callback(*entry[4])
-
-    def _dispatch_bucket(self, bucket: list, when: float, watch: Optional[Process]) -> None:
-        """Fire a whole same-timestamp bucket, interleaving any ready-deque
-        entries that belong between its members by sequence number.
-
-        Entries appended to the ready deque *during* the batch always carry
-        larger sequence numbers than every bucket member (the bucket was
-        scheduled earlier), so they sort after the bucket and the common
-        case is a straight sweep.  If a fire raises (or the watched process
-        finishes mid-bucket), the unfired tail is pushed back into the
-        calendar so the queue is left exactly as a one-at-a-time loop
-        would have left it.
-        """
+        gen = proc.gen
+        send = gen.send
         ready = self._ready
-        fire = self._fire
+        heap = self._heap
         failures = self._unobserved_failures
-        done = watch._done if watch is not None else None
-        i = 0
-        n = len(bucket)
-        try:
-            while i < n:
-                if ready:
-                    first = ready[0]
-                    if first[0] < when or (first[0] == when and first[1] < bucket[i][1]):
-                        ready.popleft()
-                        fire(first, False)
-                        if failures:
-                            self._raise_unobserved()
-                        if done is not None and done._fired:
-                            break
-                        continue
-                entry = bucket[i]
-                i += 1
-                if entry[2] is None:
-                    # Inline the pure-callback dispatch: bucket sweeps are
-                    # dominated by timer callbacks and the _fire indirection
-                    # costs as much as the dispatch itself.
-                    callback = entry[3]
-                    if callback is not None:
-                        callback(*entry[4])
+        watch = self._watch
+        while True:
+            try:
+                if exc is None:
+                    item = send(value)
                 else:
-                    fire(entry, False)
-                if failures:
-                    self._raise_unobserved()
-                if done is not None and done._fired:
-                    break
-        finally:
-            if i < n:
-                for entry in bucket[i:]:
-                    self._push_timed(when, entry)
+                    item = gen.throw(exc)
+            except StopIteration as stop:
+                proc._done.fire(stop.value)
+                return
+            except BaseException as failure:  # noqa: BLE001 - deliberate capture
+                self._note_failure(proc, failure)
+                proc._done.fail(failure)
+                return
+            is_timeout = type(item) is Timeout
+            if (
+                is_timeout
+                and chain
+                and not ready
+                and not heap
+                and not failures
+                and self.sanitize is None
+                and (watch is None or not watch._done._fired)
+            ):
+                self._seq += 1
+                delay = item.delay
+                if delay != 0.0:
+                    self._now += delay
+                value = item.value
+                exc = None
+                continue
+            # Something else is pending (or chaining is off): fall back
+            # to an ordinary subscription and return to the run loop.
+            if is_timeout:
+                self._schedule(item.delay, proc, item.value, None)
+            elif isinstance(item, Waitable):
+                item._subscribe(self, proc._step)
+            else:
+                proc._step(None, SimulationError(
+                    f"process {proc.name!r} yielded {item!r}, expected a Waitable"
+                ))
+            return
 
     # -- running -----------------------------------------------------------
+    def _drive(self, horizon: Optional[float], done: Optional[Signal]) -> Optional[float]:
+        """Fire events one at a time in global ``(when, seq)`` order.
+
+        Stops when ``done`` fires, when both queues drain (returning None)
+        or when the next event lies beyond ``horizon`` (returning its time,
+        with the event left queued).  A raising callback or process leaves
+        every unfired event queued, so the next run picks up where this
+        one stopped.
+        """
+        ready = self._ready
+        heap = self._heap
+        resume = self._resume
+        san = self.sanitize
+        failures = self._unobserved_failures
+        chain = horizon is None
+        while done is None or not done._fired:
+            if ready and (not heap or ready[0] < heap[0]):
+                entry = ready.popleft()
+            elif heap:
+                entry = heappop(heap)
+            else:
+                return None
+            when, _seq, proc, value_or_cb, exc_or_args = entry
+            if proc is None and value_or_cb is None:
+                continue  # a cancelled timer's tombstone
+            if horizon is not None and when > horizon:
+                # Leave it queued.  A zero-delay entry lies past the
+                # horizon only when ``until`` is behind the clock; the heap
+                # orders it by (when, seq) just as well.
+                heappush(heap, entry)
+                return when
+            if san is not None:
+                san.note_event(when, self._now)
+            self._now = when
+            if proc is None:
+                value_or_cb(*exc_or_args)
+            else:
+                resume(proc, value_or_cb, exc_or_args, chain)
+            if failures:
+                self._raise_unobserved()
+        return None
+
     def run(self, until: Optional[float] = None) -> float:
         """Run events until the queues drain or simulated time passes ``until``.
 
@@ -807,68 +702,9 @@ class Simulator:
         any process that failed without being waited on, so errors never
         pass silently.
         """
-        ready = self._ready
-        heappop = heapq.heappop
-        fire = self._fire
-        san = self.sanitize
-        failures = self._unobserved_failures
-        chain = until is None
-        while True:
-            head_when = self._head_when
-            if ready:
-                entry = ready[0]
-                if (
-                    head_when is None
-                    or entry[0] < head_when
-                    or (entry[0] == head_when and entry[1] < self._head[0][1])
-                ):
-                    when = entry[0]
-                    if until is not None and when > until:
-                        self._now = until
-                        break
-                    ready.popleft()
-                    if san is not None:
-                        san.note_event(when, self._now)
-                    self._now = when
-                    fire(entry, chain)
-                    if failures:
-                        self._raise_unobserved()
-                    continue
-            elif head_when is None:
-                break
-            if until is not None and head_when > until:
-                self._now = until
-                break
-            bucket = self._head
-            times = self._times
-            if times:
-                next_when = heappop(times)
-                next_bucket = self._buckets.pop(next_when, None)
-                if next_bucket:
-                    self._head_when = next_when
-                    self._head = next_bucket
-                else:
-                    self._refill_head()
-            else:
-                self._head_when = None
-                self._head = []
-            if san is not None:
-                san.note_event(head_when, self._now)
-            self._now = head_when
-            if len(bucket) == 1:
-                entry = bucket[0]
-                if entry[2] is None:
-                    # Inline pure-callback dispatch (see _dispatch_bucket).
-                    callback = entry[3]
-                    if callback is not None:
-                        callback(*entry[4])
-                else:
-                    fire(entry, chain)
-                if failures:
-                    self._raise_unobserved()
-            else:
-                self._dispatch_bucket(bucket, head_when, None)
-        if failures:
+        if self._drive(until, None) is not None:
+            self._now = until
+        if self._unobserved_failures:
             self._raise_unobserved()
         return self._now
 
@@ -880,79 +716,27 @@ class Simulator:
         itself is observed here (its failure surfaces through ``value``).
         """
         proc._failure_observed = True
-        ready = self._ready
-        heappop = heapq.heappop
-        fire = self._fire
-        san = self.sanitize
-        failures = self._unobserved_failures
-        done = proc._done
-        chain = limit is None
         prev_watch = self._watch
         self._watch = proc
         try:
-            while not done._fired:
-                head_when = self._head_when
-                if ready:
-                    entry = ready[0]
-                    if (
-                        head_when is None
-                        or entry[0] < head_when
-                        or (entry[0] == head_when and entry[1] < self._head[0][1])
-                    ):
-                        when = entry[0]
-                        if limit is not None and when > limit:
-                            raise SimulationError(
-                                f"process {proc.name!r} exceeded time limit {limit}"
-                            )
-                        ready.popleft()
-                        if san is not None:
-                            san.note_event(when, self._now)
-                        self._now = when
-                        fire(entry, chain)
-                        if failures:
-                            self._raise_unobserved()
-                        continue
-                elif head_when is None:
-                    raise SimulationError(
-                        f"deadlock: no pending events but process {proc.name!r} unfinished"
-                    )
-                if limit is not None and head_when > limit:
-                    raise SimulationError(
-                        f"process {proc.name!r} exceeded time limit {limit}"
-                    )
-                bucket = self._head
-                times = self._times
-                if times:
-                    next_when = heappop(times)
-                    next_bucket = self._buckets.pop(next_when, None)
-                    if next_bucket:
-                        self._head_when = next_when
-                        self._head = next_bucket
-                    else:
-                        self._refill_head()
-                else:
-                    self._head_when = None
-                    self._head = []
-                if san is not None:
-                    san.note_event(head_when, self._now)
-                self._now = head_when
-                if len(bucket) == 1:
-                    fire(bucket[0], chain)
-                    if failures:
-                        self._raise_unobserved()
-                else:
-                    self._dispatch_bucket(bucket, head_when, proc)
-            return proc.value
+            past = self._drive(limit, proc._done)
         finally:
             self._watch = prev_watch
+        if not proc.finished:
+            if past is None:
+                raise SimulationError(
+                    f"deadlock: no pending events but process {proc.name!r} unfinished"
+                )
+            raise SimulationError(f"process {proc.name!r} exceeded time limit {limit}")
+        return proc.value
 
     def _note_failure(self, proc: Process, exc: BaseException) -> None:
         if not proc._failure_observed:
             self._unobserved_failures.append((proc, exc))
 
     def _raise_unobserved(self) -> None:
-        # Cleared in place: the run loops (and the sole-runnable chain)
-        # hold a direct reference to this list.
+        # Cleared in place: the run loop (and the sole-runnable chain)
+        # holds a direct reference to this list.
         failures = self._unobserved_failures
         for proc, exc in failures:
             if proc._failure_observed:

@@ -11,7 +11,7 @@ import pathlib
 import pytest
 
 from repro.harness.cli import main
-from repro.harness.parallel import (
+from repro.grid.cells import (
     PoolRunner,
     SerialRunner,
     end_to_end_cell,
@@ -48,7 +48,7 @@ def test_pool_runner_preserves_cell_order():
         for i in range(4)
     ]
     serial = SerialRunner().map(cells)
-    from repro.harness.parallel import make_pool
+    from repro.grid.cells import make_pool
 
     with make_pool(2) as pool:
         pooled = PoolRunner(pool, 2).map(cells)

@@ -141,3 +141,64 @@ def test_exception_inside_callback_does_not_corrupt_clock():
         sim.run()
     # The failure stopped run(), but the sim can be resumed.
     assert sim.run_until_process(proc) == pytest.approx(2)
+
+
+def _same_instant_siblings(sim, order):
+    """Three callbacks at t=1.0 behind whatever is already queued there,
+    plus one at t=2.0."""
+    for label in ("b", "c"):
+        sim.call_in(1.0 - sim.now, order.append, label)
+    sim.call_in(1.0 - sim.now, sim.call_in, 0.0, order.append, "c0")
+    sim.call_in(2.0 - sim.now, order.append, "d")
+
+
+def test_raise_mid_instant_leaves_siblings_queued_in_seq_order():
+    sim = Simulator()
+    order = []
+
+    def boom():
+        order.append("boom")
+        raise RuntimeError("boom")
+
+    sim.call_in(1.0, order.append, "a")
+    sim.call_in(1.0, boom)
+    _same_instant_siblings(sim, order)
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run()
+    assert order == ["a", "boom"]
+    assert sim.now == 1.0
+    assert sim.pending_timers == 4
+    sim.run()
+    assert order == ["a", "boom", "b", "c", "c0", "d"]
+
+
+def test_watched_process_finishing_mid_instant_leaves_siblings_queued():
+    sim = Simulator()
+    order = []
+
+    def watched():
+        yield Timeout(1.0)
+        order.append("watched")
+        return "done"
+
+    sim.call_in(1.0, order.append, "a")
+    proc = sim.process(watched())
+    sim.run(until=0.5)  # the process has scheduled its t=1.0 wake-up
+    _same_instant_siblings(sim, order)
+    assert sim.run_until_process(proc) == "done"
+    assert order == ["a", "watched"]
+    assert sim.now == 1.0
+    assert sim.pending_timers == 4
+    sim.run()
+    assert order == ["a", "watched", "b", "c", "c0", "d"]
+
+
+def test_sanitizer_checks_event_time_once_per_event():
+    from repro.sanitizer.invariants import Sanitizer
+
+    sim = Simulator()
+    sim.sanitize = Sanitizer(sim)
+    for _ in range(3):
+        sim.call_in(1.0, lambda: None)
+    sim.run()
+    assert sim.sanitize.checks["event-time"] == 3

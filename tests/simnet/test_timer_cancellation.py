@@ -4,7 +4,9 @@ The historical behaviour let every lost race (an RTO timer beaten by its
 ACK, a credit timeout beaten by a credit) stay scheduled until its
 deadline, firing into a no-op — so an RTO-heavy run dragged a tail of
 dead timers through every queue operation.  With cancellation tokens the
-loser is removed from the calendar queue the moment the winner fires.
+loser becomes a tombstone in the event heap the moment the winner fires:
+it never calls back, no longer counts as pending, and is dropped when it
+reaches the heap top.
 """
 
 import pytest
@@ -106,8 +108,8 @@ def test_cancel_after_fire_is_refused():
 
 
 def test_cancellation_preserves_sibling_bucket_entries():
-    """Cancelling one entry of a shared-timestamp bucket leaves its
-    siblings firing in seq order (and the stale-time bookkeeping sound)."""
+    """Cancelling one of several same-timestamp timers leaves its
+    siblings firing in seq order."""
     sim = Simulator()
     order = []
     keep_a = Timeout(1.0, "a")._subscribe_cancellable(
@@ -133,17 +135,42 @@ def test_cancelling_whole_head_bucket_promotes_next_time():
     )
     Timeout(3.0, "later")._subscribe_cancellable(sim, lambda v, e: order.append(v))
     assert first.cancel() is True
-    # The 3.0 bucket must have been promoted to the front cache.
+    # The cancelled head is a tombstone: only the 3.0 timer is pending,
+    # and the clock skips straight to it.
     assert sim.pending_timers == 1
     sim.run()
     assert order == ["later"]
     assert sim.now == pytest.approx(3.0)
 
 
+def test_same_instant_unfired_timer_can_be_cancelled():
+    """A timer due at the current instant that has not fired yet is still
+    cancellable: cancel() returns True, it never calls back, and it counts
+    as cancelled."""
+    sim = Simulator()
+    fired = []
+    results = []
+    handles = {}
+
+    def first(value, exc):
+        fired.append("first")
+        results.append(handles["second"].cancel())
+
+    Timeout(1.0)._subscribe_cancellable(sim, first)
+    handles["second"] = Timeout(1.0)._subscribe_cancellable(
+        sim, lambda value, exc: fired.append("second")
+    )
+    sim.run()
+    assert results == [True]
+    assert fired == ["first"]
+    assert sim.cancelled_events == 1
+    assert sim.pending_timers == 0
+
+
 def test_chaos_drop_chunk_run_keeps_timer_queue_flat():
     """End-to-end: a DROP_CHUNK chaos run (every reliable send races an
     RTO timer; drops force real retransmissions) must cancel its lost
-    timers and drain with an empty calendar queue."""
+    timers and drain with no live timer left in the event heap."""
     from repro.faults.plan import FaultPlan
     from repro.harness.runner import build_engine, make_workload
 

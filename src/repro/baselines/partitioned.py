@@ -49,7 +49,7 @@ from repro.common.errors import ConfigError
 from repro.core.engine import RunResult
 from repro.core.executor import DoneToken, SnapshotMarker
 from repro.core.system import STRATEGY_ASYNC_SNAPSHOT, SystemHooks, install_sanitizer
-from repro.core.join import probe_sessions, probe_window
+from repro.core.join import fire_sessions, probe_window
 from repro.core.pipeline import PhysicalPlan, compile_query
 from repro.core.progress import WindowTriggerState
 from repro.core.query import Query
@@ -1011,18 +1011,12 @@ class _Consumer:
         assert isinstance(window, SessionWindows)
         if frontier == float("-inf"):
             return
-        produced = 0
-        for key in list(self.state):
-            emitted, remaining = probe_sessions(window, self.state[key], frontier)
-            if not emitted:
-                continue
-            produced += len(emitted)
-            for left_row, right_row in emitted:
-                self.results_joins.append((key, left_row, right_row))
-            if remaining:
-                self.state[key] = remaining
-            else:
-                del self.state[key]
+        joined = fire_sessions(
+            window, self.state.items(), frontier,
+            self.state.__setitem__, self.state.__delitem__,
+        )
+        self.results_joins.extend(joined)
+        produced = len(joined)
         if produced:
             probe_cost = self.node.cost_model.compute_cost(ctx.engine.costs.probe_pair)
             yield from self.core.execute(probe_cost, float(produced))

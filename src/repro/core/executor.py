@@ -34,7 +34,7 @@ from repro.common.config import (
 )
 from repro.common.errors import ChannelResetError, QueryError, SimulationError
 from repro.core.costs import DEFAULT_SLASH_COSTS, SlashCosts, quantize_working_set
-from repro.core.join import probe_sessions, probe_window
+from repro.core.join import fire_sessions, probe_window
 from repro.core.pipeline import PhysicalPlan
 from repro.core.progress import WindowTriggerState
 from repro.core.records import RecordBatch
@@ -863,18 +863,12 @@ class SlashExecutor:
         assert isinstance(window, SessionWindows)
         if frontier == float("-inf"):
             return
-        produced = 0
-        for key, payload in list(self.handle.led_items()):
-            emitted, remaining = probe_sessions(window, payload, frontier)
-            if not emitted:
-                continue
-            produced += len(emitted)
-            for left_row, right_row in emitted:
-                self.results.join_pairs.append((key, left_row, right_row))
-            if remaining:
-                self.handle.replace_led(key, remaining)
-            else:
-                self.handle.remove_led(key)
+        joined = fire_sessions(
+            window, self.handle.led_items(), frontier,
+            self.handle.replace_led, self.handle.remove_led,
+        )
+        self.results.join_pairs.extend(joined)
+        produced = len(joined)
         if produced:
             probe_cost = self.node.cost_model.op(
                 self.costs.probe_pair,

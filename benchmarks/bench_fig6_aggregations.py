@@ -10,7 +10,7 @@ Paper claims reproduced in shape:
 import pytest
 
 from conftest import register_report
-from repro.harness import fig6_aggregations
+from repro.grid import resolve_grid, run_grid
 
 NODE_COUNTS = (2, 4, 8, 16)
 THREADS = 10
@@ -20,8 +20,9 @@ SIZE = {"records_per_thread": 2500, "batch_records": 500}
 @pytest.mark.benchmark(group="fig6")
 def test_fig6_aggregations(benchmark):
     report = benchmark.pedantic(
-        lambda: fig6_aggregations(
-            node_counts=NODE_COUNTS, threads=THREADS, workload_overrides=SIZE
+        lambda: run_grid(
+            resolve_grid("fig6a-c"), {"nodes": NODE_COUNTS},
+            {"threads": THREADS, **SIZE},
         ),
         rounds=1,
         iterations=1,

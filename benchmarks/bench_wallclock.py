@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Wall-clock benchmark harness: the repo's tracked perf trajectory.
 
-Times every experiment of the CLI registry (plus a kernel event-loop
-microbench) and writes ``BENCH_wallclock.json``::
+Times every registered grid (plus a kernel event-loop microbench and a
+live-migration bench) and writes ``BENCH_wallclock.json``::
 
     python benchmarks/bench_wallclock.py --quick --out BENCH_wallclock.json
     python benchmarks/bench_wallclock.py --experiments fig8ab table1
@@ -10,16 +10,20 @@ microbench) and writes ``BENCH_wallclock.json``::
         --check-against BENCH_wallclock.json   # CI regression gate
 
 Per experiment it records the wall seconds and a sha256 digest of the
-rendered report.  The digest is the determinism check: two same-seed
-runs must produce identical simulated-time results, so their digests
-must match (wall seconds, of course, vary).  ``--check-against`` fails
-(exit 1) if any tracked experiment is more than ``--threshold`` times
-slower than the committed baseline, or if the kernel microbench drops
-below ``--kernel-floor`` (default 35%) of the baseline's events/sec —
-a ratchet against the scheduling core quietly losing its sole-runnable
-chain.  ``--profile [N]`` additionally re-runs each experiment under
-cProfile and records its top-N cumulative frames under the entry's
-``hotspots`` key.
+rendered report; ``--quick`` runs each grid at its declared ``quick``
+sizes.  The digest is the determinism check: simulated results are
+wall-clock independent, so a same-size run must reproduce the committed
+digest exactly (wall seconds, of course, vary).  ``--check-against``
+fails (exit 1) if any tracked experiment is more than ``--threshold``
+times slower than the committed baseline, if an experiment digest
+differs from a baseline entry recorded at the same ``quick``/``jobs``,
+if the migration digest differs from a baseline recorded at the same
+size, or if the kernel microbench drops below ``--kernel-floor``
+(default 35%) of the baseline's events/sec — a ratchet against the
+scheduling core quietly losing its sole-runnable chain.
+``--profile [N]`` additionally re-runs each experiment under cProfile
+and records its top-N cumulative frames under the entry's ``hotspots``
+key.
 
 Simulated results are wall-clock independent, so quick-mode timings are
 a faithful *relative* trajectory even though absolute numbers are small.
@@ -75,7 +79,7 @@ def bench_kernel(events: int = KERNEL_EVENTS, repeats: int = 3) -> dict:
     return best
 
 
-def profile_experiment(report_factory, args, top: int = 15) -> list[str]:
+def profile_experiment(report_factory, top: int = 15) -> list[str]:
     """Run one experiment under cProfile; return the top-``top`` frames
     by cumulative time as pre-formatted report lines."""
     import cProfile
@@ -85,7 +89,7 @@ def profile_experiment(report_factory, args, top: int = 15) -> list[str]:
     profiler = cProfile.Profile()
     profiler.enable()
     try:
-        report_factory(args)
+        report_factory()
     finally:
         profiler.disable()
     buffer = io.StringIO()
@@ -102,31 +106,30 @@ def profile_experiment(report_factory, args, top: int = 15) -> list[str]:
 def bench_experiment(
     name: str, quick: bool, jobs: int, profile: int = 0
 ) -> dict:
-    """One experiment: wall seconds plus a digest of the rendered report."""
-    from repro.harness.cli import EXPERIMENTS, QUICK, build_parser
+    """One registered grid: wall seconds plus a digest of the rendered report."""
+    from repro.grid import (
+        PoolRunner,
+        make_pool,
+        quick_overrides,
+        resolve_grid,
+        run_grid,
+    )
 
-    argv = ["run", name]
-    if quick:
-        argv.append("--quick")
-    args = build_parser().parse_args(argv)
-    if quick:
-        args.nodes = list(QUICK["nodes"])
-        args.threads = QUICK["threads"]
-        args.records = args.records or QUICK["records"]
-    args.nodes = tuple(args.nodes)
-    args.runner = None
-    pool = None
+    grid = resolve_grid(name)
+    axes, fixed = quick_overrides(grid) if quick else ({}, {})
+    runner = pool = None
     if jobs > 1:
-        from repro.grid.cells import PoolRunner, make_pool
-
         pool = make_pool(jobs)
-        args.runner = PoolRunner(pool, jobs)
+        runner = PoolRunner(pool, jobs)
+
+    def factory():
+        return run_grid(grid, axes, fixed, runner=runner)
+
     try:
-        _description, factory = EXPERIMENTS[name]
         started = time.perf_counter()
-        report = factory(args)
+        report = factory()
         wall = time.perf_counter() - started
-        hotspots = profile_experiment(factory, args, profile) if profile else None
+        hotspots = profile_experiment(factory, profile) if profile else None
     finally:
         if pool is not None:
             pool.shutdown()
@@ -160,7 +163,7 @@ def bench_migration() -> dict:
     all-at-once p99 means the sub-move interleaving stopped amortising
     the stall.
     """
-    from repro.harness.experiments import run_elastic
+    from repro.harness.suites import run_elastic
 
     started = time.perf_counter()
     report = run_elastic(
@@ -198,8 +201,10 @@ def check_against(
     threshold: float,
     kernel_floor: float = KERNEL_FLOOR_FRACTION,
 ) -> int:
-    """Exit status for the CI gate: 1 if any experiment regressed or the
-    kernel microbench fell below its ratcheted events/sec floor."""
+    """Exit status for the CI gate: 1 if any experiment regressed or
+    changed its digest, the migration bench lost its ordering or changed
+    its digest, or the kernel microbench fell below its ratcheted
+    events/sec floor."""
     baseline = json.loads(baseline_path.read_text())
     failures = []
     base_kernel = baseline.get("kernel")
@@ -231,6 +236,18 @@ def check_against(
         if not migration["oracle_ok"]:
             print("[bench] migration: oracle FAILED")
             failures.append("migration.oracle_ok")
+        base_migration = baseline.get("migration")
+        if (
+            base_migration is not None
+            and base_migration.get("records_per_thread")
+            == migration["records_per_thread"]
+            and base_migration.get("digest") != migration["digest"]
+        ):
+            print(
+                f"[bench] migration: digest {migration['digest'][:12]} vs "
+                f"baseline {base_migration.get('digest', '')[:12]} CHANGED"
+            )
+            failures.append("migration.digest")
     for name, entry in current["experiments"].items():
         base = baseline.get("experiments", {}).get(name)
         if base is None:
@@ -238,24 +255,37 @@ def check_against(
             continue
         ratio = entry["wall_s"] / base["wall_s"] if base["wall_s"] else 1.0
         status = "OK" if ratio <= threshold else "REGRESSED"
-        print(
-            f"[bench] {name}: {entry['wall_s']:.2f}s vs baseline "
-            f"{base['wall_s']:.2f}s ({ratio:.2f}x) {status}"
-        )
         if ratio > threshold:
             failures.append(name)
+        # Digests only compare across runs of the same sizes.
+        if (entry["quick"], entry["jobs"]) != (base.get("quick"), base.get("jobs")):
+            digest = "unchecked (baseline sizes differ)"
+        elif entry["digest"] == base.get("digest"):
+            digest = "same"
+        else:
+            digest = f"CHANGED from {base.get('digest', '')[:12]}"
+            failures.append(f"{name}.digest")
+        print(
+            f"[bench] {name}: {entry['wall_s']:.2f}s vs baseline "
+            f"{base['wall_s']:.2f}s ({ratio:.2f}x) {status}; digest {digest}"
+        )
     if failures:
-        print(f"[bench] FAIL: >{threshold}x regression in: {', '.join(failures)}")
+        print(
+            f"[bench] FAIL (>{threshold}x slower or changed digest): "
+            f"{', '.join(failures)}"
+        )
         return 1
     return 0
 
 
 def main(argv=None) -> int:
-    from repro.harness.cli import EXPERIMENTS
+    from repro.common.errors import ConfigError
+    from repro.grid import grid_names, resolve_grid
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--experiments", nargs="+", default=None,
-                        help="experiment ids to bench (default: all)")
+                        help="grid names or aliases to bench "
+                             "(default: every registered grid)")
     parser.add_argument("--quick", action="store_true",
                         help="bench at --quick sizes")
     parser.add_argument("--jobs", "-j", type=int, default=1,
@@ -280,10 +310,10 @@ def main(argv=None) -> int:
                         help="min kernel events/s as a fraction of baseline")
     args = parser.parse_args(argv)
 
-    names = args.experiments or list(EXPERIMENTS)
-    unknown = [n for n in names if n not in EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiment(s): {unknown}", file=sys.stderr)
+    try:
+        names = [resolve_grid(n).name for n in args.experiments or grid_names()]
+    except ConfigError as exc:
+        print(exc, file=sys.stderr)
         return 2
 
     result: dict = {"schema": SCHEMA, "experiments": {}}

@@ -14,9 +14,7 @@ from repro.grid.cells import (
     Cell,
     PoolRunner,
     SerialRunner,
-    end_to_end_cell,
     end_to_end_scenario_cell,
-    engine_run_cell,
     make_pool,
     run_cell,
     scenario_cell,
@@ -30,6 +28,7 @@ from repro.grid.spec import (
     parse_axis_spec,
     parse_axis_value,
     parse_set_spec,
+    quick_overrides,
     resolve_axes,
     resolve_fixed,
     run_grid,
@@ -61,9 +60,7 @@ __all__ = [
     "PoolRunner",
     "SerialRunner",
     "SweepGrid",
-    "end_to_end_cell",
     "end_to_end_scenario_cell",
-    "engine_run_cell",
     "expand_grid",
     "grid_names",
     "known_grid_names",
@@ -71,6 +68,7 @@ __all__ = [
     "parse_axis_spec",
     "parse_axis_value",
     "parse_set_spec",
+    "quick_overrides",
     "register_grid",
     "resolve_axes",
     "resolve_fixed",

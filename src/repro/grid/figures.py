@@ -1,16 +1,10 @@
 """Every Sec. 8 table/figure of the paper as a registered sweep grid.
 
-Each grid here replaces one hand-rolled function from
-``harness/experiments.py``: the axes spell out the sweep the function's
-nested loops used to encode, the cell template routes every point
-through :class:`~repro.runtime.Scenario` (so sanitizer/fault/elastic/
-overload hooks attach uniformly — no more per-figure cell builders
-bypassing the scenario layer), and the report function reproduces the
-original rendering byte for byte from the in-order results.
-
-The ``harness.experiments`` figure functions survive as thin wrappers
-over :func:`repro.grid.run_grid` on these grids, keeping their
-signatures for tests and notebooks.
+The axes spell out each figure's sweep, the cell template routes every
+end-to-end point through :class:`~repro.runtime.Scenario` (so
+sanitizer/fault/elastic/overload hooks attach uniformly), the report
+function renders the figure from the in-order results, and ``quick``
+holds the smoke sizes ``python -m repro run <name> --quick`` uses.
 """
 
 from __future__ import annotations
@@ -42,10 +36,31 @@ TRANSFER_ENGINES = EngineSet(
 # Fig. 6: end-to-end weak scaling
 # ---------------------------------------------------------------------------
 
+def _sizes(fixed: dict) -> dict:
+    """The ``records_per_thread``/``batch_records`` knobs that are set
+    (``None`` keeps the workload preset)."""
+    return {
+        knob: fixed[knob]
+        for knob in ("records_per_thread", "batch_records")
+        if fixed[knob] is not None
+    }
+
+
+#: Fixed knobs of the weak-scaling figures (Figs. 6-7).
+WEAK_SCALING_FIXED = {
+    "threads": 10, "records_per_thread": None, "batch_records": None,
+}
+
+#: ``--quick`` sizes of the weak-scaling figures.
+WEAK_SCALING_QUICK = {
+    "nodes": (2, 4), "threads": 4, "records_per_thread": 1200, "batch_records": 240,
+}
+
+
 def _fig6_cell(point: dict, fixed: dict):
     return end_to_end_scenario_cell(
         point["system"], point["workload"], point["nodes"], fixed["threads"],
-        workload_overrides=fixed["workload_overrides"],
+        workload_overrides=_sizes(fixed),
     )
 
 
@@ -99,9 +114,10 @@ register_grid(SweepGrid(
         ("nodes", (2, 4, 8, 16)),
         ("system", SCALE_OUT_ENGINES),
     ),
-    fixed={"threads": 10, "workload_overrides": None},
+    fixed=WEAK_SCALING_FIXED,
     cell=_fig6_cell,
     report=_fig6_report,
+    quick=WEAK_SCALING_QUICK,
 ))
 
 register_grid(SweepGrid(
@@ -114,9 +130,10 @@ register_grid(SweepGrid(
         ("nodes", (2, 4, 8, 16)),
         ("system", SCALE_OUT_ENGINES),
     ),
-    fixed={"threads": 10, "workload_overrides": None},
+    fixed=WEAK_SCALING_FIXED,
     cell=_fig6_cell,
     report=_fig6_report,
+    quick=WEAK_SCALING_QUICK,
 ))
 
 
@@ -129,11 +146,11 @@ def _fig7_cell(point: dict, fixed: dict):
     if point["nodes"] == "L":
         return end_to_end_scenario_cell(
             "lightsaber", point["workload"], 1, fixed["threads"],
-            workload_overrides=fixed["workload_overrides"],
+            workload_overrides=_sizes(fixed),
         )
     return end_to_end_scenario_cell(
         "slash", point["workload"], point["nodes"], fixed["threads"],
-        workload_overrides=fixed["workload_overrides"],
+        workload_overrides=_sizes(fixed),
     )
 
 
@@ -176,9 +193,10 @@ register_grid(SweepGrid(
         ("workload", ("ysb", "cm", "nb7")),
         ("nodes", ("L", 2, 4, 8, 16)),
     ),
-    fixed={"threads": 10, "workload_overrides": None},
+    fixed=WEAK_SCALING_FIXED,
     cell=_fig7_cell,
     report=_fig7_report,
+    quick={**WEAK_SCALING_QUICK, "nodes": ("L", 2, 4)},
 ))
 
 
@@ -233,6 +251,7 @@ register_grid(SweepGrid(
     fixed={"threads": 2, "records_per_thread": 150_000},
     cell=_fig8ab_cell,
     report=_fig8ab_report,
+    quick={"threads": 4, "records_per_thread": 1200},
 ))
 
 
@@ -278,6 +297,7 @@ register_grid(SweepGrid(
     fixed={"buffer_bytes": 65536, "records_per_thread": 120_000},
     cell=_fig8c_cell,
     report=_fig8c_report,
+    quick={"records_per_thread": 1200},
 ))
 
 
@@ -351,6 +371,7 @@ register_grid(SweepGrid(
     fixed={"threads": 10, "buffer_bytes": 65536, "records_per_thread": 60_000},
     cell=_fig8d_cell,
     report=_fig8d_report,
+    quick={"threads": 4, "records_per_thread": 1200},
 ))
 
 
@@ -398,6 +419,7 @@ register_grid(SweepGrid(
     fixed={"buffer_bytes": 65536, "records_per_thread": 120_000},
     cell=_fig9_cell,
     report=_fig9_report,
+    quick={"records_per_thread": 1200},
 ))
 
 
@@ -469,6 +491,7 @@ register_grid(SweepGrid(
     fixed={"threads": 10, "records_per_thread": 6_000},
     cell=_ysb_two_node_cell,
     report=_fig10_report,
+    quick={"threads": 4, "records_per_thread": 1200},
 ))
 
 
@@ -521,6 +544,7 @@ register_grid(SweepGrid(
     fixed={"threads": 10, "records_per_thread": 6_000},
     cell=_ysb_two_node_cell,
     report=_table1_report,
+    quick={"threads": 4, "records_per_thread": 1200},
 ))
 
 
@@ -569,6 +593,7 @@ register_grid(SweepGrid(
     fixed={"threads": 2, "buffer_bytes": 65536, "records_per_thread": 120_000},
     cell=_abl_credits_cell,
     report=_abl_credits_report,
+    quick={"records_per_thread": 1200},
 ))
 
 
@@ -707,6 +732,7 @@ register_grid(SweepGrid(
     fixed={"nodes": 2, "threads": 10, "records_per_thread": 6_000},
     cell=_extra_latency_cell,
     report=_extra_latency_report,
+    quick={"threads": 4, "records_per_thread": 1200},
 ))
 
 
@@ -748,4 +774,5 @@ register_grid(SweepGrid(
     fixed={"threads": 2, "buffer_bytes": 16384, "records_per_thread": 120_000},
     cell=_abl_signal_cell,
     report=_abl_signal_report,
+    quick={"records_per_thread": 1200},
 ))

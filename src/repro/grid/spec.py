@@ -11,14 +11,15 @@ A :class:`SweepGrid` names what used to be hand-rolled per figure:
 * a **cell** function — one sweep point (a dict of axis values) plus the
   fixed knobs to one picklable :mod:`repro.grid.cells` cell;
 * a **report** function — the in-order cell results back to the figure's
-  :class:`~repro.metrics.reporting.Report`.
+  :class:`~repro.metrics.reporting.Report`;
+* **quick** overrides — the smoke-test sizes ``--quick`` applies.
 
 :func:`run_grid` expands the cartesian product of the axes in
 declaration order (first axis outermost, exactly the nested-loop order
 the hand-rolled experiments used), feeds the cells to a
 ``SerialRunner``/``PoolRunner``, and hands the positionally-ordered
 results to the report function — so a grid's render is byte-identical
-serial or ``-j N``, and byte-identical to the function it replaced.
+serial or ``-j N``.
 
 Axis and fixed-knob overrides are validated with did-you-mean
 suggestions, the same convention as engine and workload lookup.
@@ -95,6 +96,9 @@ class SweepGrid:
     aliases: tuple = ()
     #: Report headline; defaults to ``name``.
     title: str = ""
+    #: ``--quick`` sizes: axis names map to swept values, every other key
+    #: to a fixed knob (see :func:`quick_overrides`).
+    quick: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.title:
@@ -124,6 +128,14 @@ class GridRun:
     def iter_results(self):
         """The results as an in-order iterator (one ``next()`` per point)."""
         return iter(self.results)
+
+
+def quick_overrides(grid: SweepGrid) -> tuple:
+    """The grid's ``quick`` data split into ``(axis, fixed)`` overrides."""
+    names = grid.axis_names()
+    axes = {k: v for k, v in grid.quick.items() if k in names}
+    fixed = {k: v for k, v in grid.quick.items() if k not in names}
+    return axes, fixed
 
 
 def resolve_axes(grid: SweepGrid, axis_overrides: Optional[dict] = None) -> dict:

@@ -1,56 +1,7 @@
-"""Experiment harness: one entry point per paper table/figure.
+"""The user-facing harness: the ``python -m repro`` CLI and the suites.
 
-:mod:`repro.harness.runner` knows how to build each system under test
-and run it on a workload; :mod:`repro.harness.experiments` defines the
-figures (fig6a..fig6e, fig7, fig8a..fig8d, fig9, fig10, table1) plus the
-ablation studies, each returning a report whose ``render()`` prints the
-same rows/series the paper plots.
+Every paper table and figure is a registered sweep grid (see
+:mod:`repro.grid`); :mod:`repro.harness.cli` runs them by name.  The
+sequential acceptance suites — chaos, elastic rescale, overload — live
+in :mod:`repro.harness.suites`.
 """
-
-from repro.harness.runner import (
-    SYSTEMS,
-    build_engine,
-    make_workload,
-    run_end_to_end,
-    EndToEndRow,
-)
-from repro.harness.experiments import (
-    fig6_aggregations,
-    fig6_joins,
-    fig7_cost,
-    fig8_buffer_sweep,
-    fig8_parallelism,
-    fig8_skew,
-    fig9_breakdown_ro,
-    fig10_breakdown_ysb,
-    table1_counters,
-    ablation_credits,
-    ablation_epoch_bytes,
-    ablation_execution_strategy,
-    ablation_selective_signaling,
-    extra_trigger_latency,
-    Report,
-)
-
-__all__ = [
-    "SYSTEMS",
-    "build_engine",
-    "make_workload",
-    "run_end_to_end",
-    "EndToEndRow",
-    "fig6_aggregations",
-    "fig6_joins",
-    "fig7_cost",
-    "fig8_buffer_sweep",
-    "fig8_parallelism",
-    "fig8_skew",
-    "fig9_breakdown_ro",
-    "fig10_breakdown_ysb",
-    "table1_counters",
-    "ablation_credits",
-    "ablation_epoch_bytes",
-    "ablation_execution_strategy",
-    "ablation_selective_signaling",
-    "extra_trigger_latency",
-    "Report",
-]

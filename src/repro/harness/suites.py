@@ -7,17 +7,17 @@ horizon, later runs are parameterised by what the baseline measured
 (fault plans placed on the horizon, migration instants, calibrated SLOs
 and ingest rates), and hard acceptance checks — zero lost results,
 same-seed determinism, differential oracles — raise on violation rather
-than merely reporting.  They moved here from ``harness/experiments.py``
-when the figures collapsed into grid specs; the latency statistics they
-report come from the shared :mod:`repro.metrics.slo` helpers.
+than merely reporting.  The latency statistics they report come from
+the shared :mod:`repro.metrics.slo` helpers.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from repro.common.errors import ConfigError, FaultError, StateError
+from repro.common.suggest import unknown_name_message
 from repro.common.units import fmt_rate_records, fmt_time
-from repro.harness.runner import make_workload
 from repro.metrics.reporting import (
     Report,
     TextTable,
@@ -25,7 +25,7 @@ from repro.metrics.reporting import (
     format_si,
 )
 from repro.metrics.slo import percentile, window_lags
-from repro.runtime.oracle import diff_aggregates as _compare_aggregates
+from repro.runtime import diff_aggregates, make_workload
 
 
 # ---------------------------------------------------------------------------
@@ -62,16 +62,19 @@ def run_elastic(
     Megaphone-style fluid splits it into per-key-range sub-moves, so its
     p99 spike stays a fraction of the bulk one.
     """
-    from repro.common.errors import StateError
     from repro.core.system import MIGRATION_STRATEGIES
     from repro.runtime import REGISTRY, Scenario, run_scenario
     from repro.runtime.oracle import diff_results
 
     if strategy == "both":
         strategies = list(MIGRATION_STRATEGIES)
-    else:
-        # Unknown names flow into attach_elastic for the did-you-mean.
+    elif strategy in MIGRATION_STRATEGIES:
         strategies = [strategy]
+    else:
+        raise ConfigError(unknown_name_message(
+            "migration strategy", strategy,
+            tuple(sorted(MIGRATION_STRATEGIES)) + ("both",),
+        ))
     if not 0.0 < rescale_frac < 1.0:
         raise StateError(
             f"rescale_frac must be inside (0, 1), got {rescale_frac}"
@@ -227,8 +230,7 @@ def run_chaos(
     static, so zero-lost-results then asserts that chaos plus migration
     together still reproduce the untouched run exactly.
     """
-    from repro.common.errors import FaultError
-    from repro.faults.plan import FaultPlan
+    from repro.faults.plan import PRESETS, FaultPlan
     from repro.runtime import (
         CAP_FAULT_INJECTION,
         RECOVERY_STRATEGIES,
@@ -238,6 +240,12 @@ def run_chaos(
         run_scenario,
     )
 
+    if fault not in PRESETS:
+        raise ConfigError(unknown_name_message("fault preset", fault, PRESETS))
+    if strategy != "both" and strategy not in RECOVERY_STRATEGIES:
+        raise ConfigError(unknown_name_message(
+            "recovery strategy", strategy, RECOVERY_STRATEGIES + ("both",)
+        ))
     # Fail fast on engines with no fault-injection plane (capability
     # error before any simulation runs, not a mid-run crash).
     REGISTRY.require(system, CAP_FAULT_INJECTION)
@@ -245,8 +253,8 @@ def run_chaos(
     if strategy == "both":
         strategies = [s for s in RECOVERY_STRATEGIES if s in supported] or [None]
     else:
-        # An unknown or unsupported name flows into attach_faults, which
-        # raises the CapabilityError naming what the engine *can* do.
+        # An unsupported name flows into attach_faults, which raises the
+        # CapabilityError naming what the engine *can* do.
         strategies = [strategy]
 
     tag = f" + {elastic} rescale" if elastic else ""
@@ -314,7 +322,7 @@ def run_chaos(
             )
 
         faulted = faulted_run()
-        missing, extra, mismatched = _compare_aggregates(
+        missing, extra, mismatched = diff_aggregates(
             baseline.aggregates, faulted.aggregates
         )
         zero_lost = not (missing or extra or mismatched)
@@ -550,7 +558,6 @@ def run_overload(
     the same paced scenario under the fault preset, with straggler
     mitigation on vs off — the mitigated run must not be slower at p99.
     """
-    from repro.common.errors import StateError
     from repro.core.system import CAP_OVERLOAD, SHED_POLICIES
     from repro.runtime import REGISTRY, Scenario, run_scenario
     from repro.runtime.oracle import diff_results
@@ -741,8 +748,6 @@ def run_overload(
         from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 
         mitigation_policy = policies[0] if policies else "drop-oldest"
-        from repro.common.suggest import unknown_name_message
-
         if fault not in ("slow-node", "jitter"):
             raise StateError(unknown_name_message(
                 "gray fault", fault, ("slow-node", "jitter")

@@ -67,13 +67,13 @@ class TestRescalePastHorizon:
 
 class TestHarnessValidation:
     def test_rescale_frac_bounds(self):
-        from repro.harness.experiments import run_elastic
+        from repro.harness.suites import run_elastic
 
         with pytest.raises(StateError, match="rescale_frac"):
             run_elastic(rescale_frac=1.5, records_per_thread=300)
 
     def test_unknown_engine_fails_before_any_run(self):
-        from repro.harness.experiments import run_elastic
+        from repro.harness.suites import run_elastic
 
         with pytest.raises(ConfigError, match="slash"):
             run_elastic(system="slassh", records_per_thread=300)

@@ -1,6 +1,7 @@
-"""The ``python -m repro grid`` subcommand."""
+"""The ``python -m repro run`` subcommand and its ``grid`` alias."""
 
 import json
+import re
 
 from repro.grid import grid_names
 from repro.harness.cli import main
@@ -89,3 +90,38 @@ def test_grid_traffic_slo_single_cell_reports_slo_and_fairness(
     assert rows[0]["policy"] == "fair"
     assert rows[0]["slo_met"] in (True, False)
     assert len(rows[0]["tenants"]) == 4
+
+
+def _without_wall_time(text: str) -> str:
+    return re.sub(r"— [0-9.]+s wall\]", "— Xs wall]", text)
+
+
+def test_run_and_grid_are_one_command(tmp_path, capsys):
+    outputs = []
+    for command in ("run", "grid"):
+        out = tmp_path / command
+        assert main([command, "fig8ab", "--quick", "--out", str(out)]) == 0
+        outputs.append(_without_wall_time(capsys.readouterr().out))
+        assert (out / "fig8ab.txt").exists()
+    assert outputs[0] == outputs[1]
+    assert (tmp_path / "run" / "fig8ab.txt").read_bytes() == (
+        tmp_path / "grid" / "fig8ab.txt"
+    ).read_bytes()
+
+
+def test_run_all_quick_dry_run_expands_every_registered_grid(capsys):
+    assert main(["run", "all", "--quick", "--dry-run"]) == 0
+    out = capsys.readouterr().out
+    expanded = re.findall(r"^grid (\S+): (\d+) cells$", out, re.MULTILINE)
+    assert [name for name, _cells in expanded] == list(grid_names())
+    cells = dict(expanded)
+    # The quick data shrinks the sweep: fig6a-c runs 3 workloads x
+    # 2 node counts x 3 engines, fig7 3 workloads x (L, 2, 4).
+    assert cells["fig6a-c"] == "18"
+    assert cells["fig7"] == "9"
+
+
+def test_quick_sizes_yield_to_explicit_overrides(capsys):
+    assert main(["run", "fig7", "--quick", "--dry-run",
+                 "--axis", "nodes=L,2"]) == 0
+    assert "grid fig7: 6 cells" in capsys.readouterr().out

@@ -1,8 +1,8 @@
-"""Grid-ported figures render byte-identical to the committed goldens.
+"""Figure grids render byte-identical to the committed goldens.
 
 The goldens under ``tests/harness/golden`` were rendered from the
-pre-grid hand-rolled experiment loops; the declarative ports must
-reproduce them byte for byte, serially *and* over a process pool.
+pre-grid hand-rolled experiment loops; the grids must reproduce them
+byte for byte, serially *and* over a process pool.
 """
 
 import pathlib
@@ -13,15 +13,12 @@ from repro.grid import PoolRunner, make_pool, resolve_grid, run_grid
 
 GOLDEN = pathlib.Path(__file__).parent.parent / "harness" / "golden"
 
-#: (grid, axis overrides, fixed overrides, golden file) — the same pinned
-#: sizes the legacy golden tests use.
+#: (grid, axis overrides, fixed overrides, golden file) at pinned sizes.
 PINS = [
     (
         "fig6a-c",
         {"nodes": (2,)},
-        {"threads": 2,
-         "workload_overrides": {"records_per_thread": 600,
-                                "batch_records": 150}},
+        {"threads": 2, "records_per_thread": 600, "batch_records": 150},
         "fig6a_smoke.txt",
     ),
     (

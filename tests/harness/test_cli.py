@@ -4,19 +4,20 @@ import json
 
 import pytest
 
-from repro.harness.cli import EXPERIMENTS, build_parser, main
+from repro.grid import GRIDS
+from repro.harness.cli import build_parser, main
 
 
 def test_list_command(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
-    for name in EXPERIMENTS:
+    for name in GRIDS:
         assert name in out
 
 
 def test_unknown_experiment_fails(capsys):
     assert main(["run", "fig99"]) == 2
-    assert "unknown experiment" in capsys.readouterr().err
+    assert "RUN FAILED: unknown grid 'fig99'" in capsys.readouterr().err
 
 
 def test_run_quick_experiment_writes_outputs(tmp_path, capsys):
@@ -32,7 +33,9 @@ def test_run_quick_experiment_writes_outputs(tmp_path, capsys):
 
 
 def test_run_fig7_quick(capsys):
-    assert main(["run", "fig7", "--quick", "--records", "800"]) == 0
+    assert main(
+        ["run", "fig7", "--quick", "--set", "records_per_thread=800"]
+    ) == 0
     out = capsys.readouterr().out
     assert "LightSaber" in out
     assert "slash x2" in out
@@ -40,15 +43,16 @@ def test_run_fig7_quick(capsys):
 
 def test_parser_defaults():
     args = build_parser().parse_args(["run", "fig6a-c"])
-    assert args.nodes == [2, 4, 8, 16]
-    assert args.threads == 10
+    assert args.name == "fig6a-c"
+    assert args.axis == [] and args.set_knobs == []
+    assert args.jobs == 1
     assert not args.quick
 
 
 def test_every_registered_experiment_has_description():
-    for name, (description, factory) in EXPERIMENTS.items():
-        assert description
-        assert callable(factory)
+    for name, grid in GRIDS.items():
+        assert grid.description, name
+        assert callable(grid.cell) and callable(grid.report), name
 
 
 def test_chaos_command_writes_outputs(tmp_path, capsys):

@@ -14,14 +14,13 @@ from repro.harness.cli import main
 from repro.grid.cells import (
     PoolRunner,
     SerialRunner,
-    end_to_end_cell,
     run_cell,
     transfer_cell,
 )
 
-#: Two experiments with different cell kinds (transfer + end-to-end).
+#: Two experiments with different cell kinds (transfer + scenario).
 TARGETS = ["fig8ab", "table1"]
-SIZE_ARGS = ["--quick", "--records", "300"]
+SIZE_ARGS = ["--quick", "--set", "records_per_thread=300"]
 
 
 @pytest.mark.parametrize("name", TARGETS)
@@ -58,18 +57,6 @@ def test_pool_runner_preserves_cell_order():
     ]
 
 
-def test_run_cell_end_to_end_matches_direct_call():
-    from repro.harness.runner import run_end_to_end
-
-    overrides = {"records_per_thread": 200, "batch_records": 100}
-    via_cell = run_cell(
-        end_to_end_cell("slash", "ysb", 2, 2, workload_overrides=overrides)
-    )
-    direct = run_end_to_end("slash", "ysb", 2, 2, workload_overrides=overrides)
-    assert via_cell.sim_seconds == direct.sim_seconds
-    assert via_cell.throughput_records_per_s == direct.throughput_records_per_s
-
-
 def test_unknown_cell_kind_raises():
     from repro.common.errors import ConfigError
 
@@ -87,5 +74,5 @@ def test_per_panel_aliases_resolve(tmp_path, capsys):
 def test_unknown_experiment_suggests_closest(capsys):
     assert main(["run", "fig8x"]) == 2
     err = capsys.readouterr().err
-    assert "unknown experiment" in err
+    assert "unknown grid 'fig8x'" in err
     assert "did you mean" in err

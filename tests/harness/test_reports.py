@@ -1,7 +1,7 @@
 """Tests for the Report container and experiment rendering contracts."""
 
-from repro.harness.experiments import Report
-from repro.metrics.reporting import TextTable
+from repro.grid import resolve_grid, run_grid
+from repro.metrics.reporting import Report, TextTable
 
 
 def test_report_render_includes_tables_and_notes():
@@ -22,46 +22,33 @@ def test_report_empty_renders_header_only():
 
 def test_every_figure_experiment_appends_its_tables():
     """Guard against the 'built a table, forgot to append it' bug class
-    (it bit fig7 and the latency experiment once): every experiment
-    function must produce at least one table at miniature size."""
-    from repro.harness import (
-        ablation_credits,
-        ablation_epoch_bytes,
-        ablation_execution_strategy,
-        ablation_selective_signaling,
-        extra_trigger_latency,
-        fig6_aggregations,
-        fig6_joins,
-        fig7_cost,
-        fig8_buffer_sweep,
-        fig8_parallelism,
-        fig8_skew,
-        fig9_breakdown_ro,
-        fig10_breakdown_ysb,
-        table1_counters,
-    )
-
+    (it bit fig7 and the latency experiment once): every figure grid
+    must produce at least one table at miniature size."""
     tiny = {"records_per_thread": 600, "batch_records": 150}
-    reports = [
-        fig6_aggregations(node_counts=(2,), threads=2, workload_overrides=tiny),
-        fig6_joins(
-            node_counts=(2,), threads=2,
-            workload_overrides={"records_per_thread": 300, "batch_records": 75},
-        ),
-        fig7_cost(node_counts=(2,), threads=2, workloads=("ysb",), workload_overrides=tiny),
-        fig8_buffer_sweep(buffer_sizes=(65536,), threads=2, records_per_thread=8000),
-        fig8_parallelism(thread_counts=(2,), records_per_thread=8000),
-        fig8_skew(zipf_zs=(0.2,), threads=2, records_per_thread=6000),
-        fig9_breakdown_ro(thread_counts=(2,), records_per_thread=8000),
-        fig10_breakdown_ysb(threads=2, records_per_thread=1500),
-        table1_counters(threads=2, records_per_thread=1500),
-        ablation_credits(credit_counts=(8,), threads=2, records_per_thread=8000),
-        ablation_epoch_bytes(epoch_sizes=(64 * 1024,), nodes=2, threads=2),
-        ablation_execution_strategy(nodes=2, threads=2, records_per_thread=600),
-        ablation_selective_signaling(threads=2, records_per_thread=8000),
-        extra_trigger_latency(nodes=2, threads=2, records_per_thread=1500),
+    #: (grid, axis overrides, fixed overrides) per paper figure.
+    runs = [
+        ("fig6a-c", {"nodes": (2,)}, {"threads": 2, **tiny}),
+        ("fig6d-e", {"nodes": (2,)},
+         {"threads": 2, "records_per_thread": 300, "batch_records": 75}),
+        ("fig7", {"workload": ("ysb",), "nodes": ("L", 2)},
+         {"threads": 2, **tiny}),
+        ("fig8ab", {"buffer": (65536,)},
+         {"threads": 2, "records_per_thread": 8000}),
+        ("fig8c", {"threads": (2,)}, {"records_per_thread": 8000}),
+        ("fig8d", {"z": (0.2,)}, {"threads": 2, "records_per_thread": 6000}),
+        ("fig9", {"threads": (2,)}, {"records_per_thread": 8000}),
+        ("fig10", {}, {"threads": 2, "records_per_thread": 1500}),
+        ("table1", {}, {"threads": 2, "records_per_thread": 1500}),
+        ("abl-credits", {"credits": (8,)},
+         {"threads": 2, "records_per_thread": 8000}),
+        ("abl-epoch", {"epoch_bytes": (64 * 1024,)}, {"nodes": 2, "threads": 2}),
+        ("abl-exec", {}, {"nodes": 2, "threads": 2, "records_per_thread": 600}),
+        ("abl-signal", {}, {"threads": 2, "records_per_thread": 8000}),
+        ("extra-latency", {},
+         {"nodes": 2, "threads": 2, "records_per_thread": 1500}),
     ]
-    for report in reports:
+    for name, axes, fixed in runs:
+        report = run_grid(resolve_grid(name), axes, fixed)
         assert report.tables, f"{report.name} produced no tables"
         assert report.rows, f"{report.name} produced no rows"
         assert report.render().count("==") >= 2

@@ -55,17 +55,6 @@ def test_run_scenario_seed_changes_workload():
     assert run_scenario(base).aggregates != run_scenario(other).aggregates
 
 
-def test_run_scenario_matches_direct_harness_path():
-    from repro.harness.runner import run_end_to_end
-
-    spec = Scenario(engine="uppar", workload="ysb", nodes=2, threads=2,
-                    workload_overrides=dict(SMALL))
-    via_scenario = run_scenario(spec)
-    direct = run_end_to_end("uppar", "ysb", 2, 2, workload_overrides=dict(SMALL))
-    assert via_scenario.sim_seconds == direct.sim_seconds
-    assert via_scenario.aggregates == direct.result.aggregates
-
-
 def test_sanitize_hook_works_on_uppar():
     spec = Scenario(engine="uppar", workload="ysb", nodes=2, threads=2,
                     workload_overrides=dict(SMALL), sanitize=True)

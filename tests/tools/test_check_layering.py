@@ -63,6 +63,26 @@ def test_lazy_and_guarded_imports_are_exempt(fake_tree):
     assert violations == []
 
 
+def test_lazy_import_of_the_harness_is_flagged(fake_tree):
+    """No layer may reach up into the harness, not even from a function
+    body: that is how a grid cell kind once depended on the CLI layer."""
+    violations = fake_tree({
+        "grid/cells.py": """
+            def run_cell(cell):
+                from repro.harness.suites import run_chaos  # lazy
+                return run_chaos
+        """,
+        "__main__.py": """
+            def main():
+                from repro.harness.cli import main
+                return main()
+        """,
+    })
+    assert len(violations) == 1
+    assert "grid/cells.py:3" in violations[0]
+    assert "lazily imports" in violations[0] and "'harness'" in violations[0]
+
+
 def test_same_layer_and_downward_imports_pass(fake_tree):
     violations = fake_tree({
         "harness/ok.py": """

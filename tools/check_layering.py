@@ -11,10 +11,12 @@ A module may import from its own layer or any layer below it; importing
 from a layer above is an error (it is how the pre-refactor tangles crept
 in, e.g. the sanitizer reaching into the harness for ``Report``).
 
-Only **module-level** imports are checked: a lazy import inside a
-function is the sanctioned escape hatch for genuinely late bindings
-(pool workers, optional attachments), and ``if TYPE_CHECKING:`` blocks
-are skipped because they never execute.
+Only **module-level** imports are checked against the ranks: a lazy
+import inside a function is the sanctioned escape hatch for genuinely
+late bindings (pool workers, optional attachments).  The top layer,
+``harness``, has no such hatch: no other layer may import it at all,
+lazily or not (only the ``__main__.py`` entry point may).  ``if
+TYPE_CHECKING:`` blocks are skipped because they never execute.
 
 Exit status: 0 when clean, 1 with one ``file:line`` diagnostic per
 violation otherwise.  Run as ``python tools/check_layering.py`` from the
@@ -48,6 +50,9 @@ LAYERS: dict[str, int] = {
     "harness": 9,
 }
 
+#: The user-facing top layer: no other layer may import it, even lazily.
+TOP_LAYER = "harness"
+
 #: Files whose whole point is to stitch layers together for end users.
 EXEMPT = {"repro/__init__.py", "repro/__main__.py"}
 
@@ -60,25 +65,34 @@ def _layer_of(module: str) -> str | None:
     return None
 
 
-def _module_level_imports(tree: ast.Module):
-    """Yield (node, dotted-module) for every import that runs at import
-    time: direct module-body statements plus ``try:`` fallbacks, but not
-    ``if`` blocks (TYPE_CHECKING guards) or function/class bodies."""
-    stack: list[ast.stmt] = list(tree.body)
+def _is_type_checking(test: ast.expr) -> bool:
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
+        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
+    )
+
+
+def _imports(tree: ast.Module):
+    """Yield (node, dotted-module, lazy) for every import that can run.
+
+    ``lazy`` is False for imports that run at import time (module-body
+    statements plus ``try:`` fallbacks) and True inside functions,
+    classes and ``if`` blocks.  ``if TYPE_CHECKING:`` bodies are skipped
+    because they never execute.
+    """
+    stack = [(node, False) for node in tree.body]
     while stack:
-        node = stack.pop()
-        if isinstance(node, ast.Try):
-            stack.extend(node.body)
-            stack.extend(node.orelse)
-            stack.extend(node.finalbody)
-            for handler in node.handlers:
-                stack.extend(handler.body)
-        elif isinstance(node, ast.Import):
+        node, lazy = stack.pop()
+        if isinstance(node, ast.Import):
             for alias in node.names:
-                yield node, alias.name
+                yield node, alias.name, lazy
         elif isinstance(node, ast.ImportFrom):
             if node.module is not None and node.level == 0:
-                yield node, node.module
+                yield node, node.module, lazy
+        elif isinstance(node, ast.If) and _is_type_checking(node.test):
+            stack.extend((child, True) for child in node.orelse)
+        else:
+            nested = lazy or not isinstance(node, (ast.Try, ast.ExceptHandler))
+            stack.extend((child, nested) for child in ast.iter_child_nodes(node))
 
 
 def check(package_root: pathlib.Path) -> list[str]:
@@ -91,11 +105,18 @@ def check(package_root: pathlib.Path) -> list[str]:
         if importer is None:
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
-        for node, module in _module_level_imports(tree):
+        for node, module, lazy in _imports(tree):
             imported = _layer_of(module)
-            if imported is None:
+            if imported is None or imported == importer:
                 continue
-            if LAYERS[imported] > LAYERS[importer]:
+            if imported == TOP_LAYER:
+                how = "lazily imports" if lazy else "imports"
+                violations.append(
+                    f"{relative}:{node.lineno}: layer '{importer}' {how} "
+                    f"the top layer '{imported}' (only __main__.py may): "
+                    f"{module}"
+                )
+            elif not lazy and LAYERS[imported] > LAYERS[importer]:
                 violations.append(
                     f"{relative}:{node.lineno}: layer "
                     f"'{importer}' (rank {LAYERS[importer]}) imports upward "

@@ -163,7 +163,7 @@ def bench_migration() -> dict:
     all-at-once p99 means the sub-move interleaving stopped amortising
     the stall.
     """
-    from repro.harness.suites import run_elastic
+    from repro.grid.suites import run_elastic
 
     started = time.perf_counter()
     report = run_elastic(

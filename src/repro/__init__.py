@@ -17,7 +17,9 @@ simulation of a rack-scale RDMA cluster:
   LightSaber-like scale-up engine, and the sequential reference;
 * :mod:`repro.workloads` — YSB, NexMark (NB7/NB8/NB11), Cluster
   Monitoring, and the Read-Only drill-down benchmark;
-* :mod:`repro.harness` — one runnable experiment per paper table/figure.
+* :mod:`repro.grid` — every paper table/figure and acceptance suite as a
+  declarative sweep grid;
+* :mod:`repro.harness` — the ``python -m repro`` CLI that runs them.
 
 Quick start::
 

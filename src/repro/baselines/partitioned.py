@@ -46,7 +46,7 @@ from repro.common.config import (
     paper_cluster,
 )
 from repro.common.errors import ConfigError
-from repro.core.engine import RunResult
+from repro.core.engine import RunResult, record_run_extras
 from repro.core.executor import DoneToken, SnapshotMarker
 from repro.core.system import STRATEGY_ASYNC_SNAPSHOT, SystemHooks, install_sanitizer
 from repro.core.join import fire_sessions, probe_window
@@ -243,12 +243,11 @@ class PartitionedEngine(SystemHooks):
         if elastic is not None:
             elastic.check_complete()
         result = ctx.collect(query)
-        if injector is not None:
-            result.extra["faults"] = injector.report()
-        if elastic is not None:
-            result.extra["elastic"] = elastic.report()
-        if sim.sanitize is not None:
-            result.extra["sanitizer_checks"] = sim.sanitize.check_counts()
+        record_run_extras(
+            result,
+            [event for c in ctx.gen.consumers for event in c.trigger_events],
+            injector, elastic, sim.sanitize,
+        )
         return result
 
 
@@ -520,12 +519,6 @@ class _RunContext:
             node_counters = node.counters()
             result.per_node_counters.append(node_counters)
             result.counters.merge(node_counters)
-        lags = [lag for c in self.gen.consumers for lag in c.trigger_lag_s]
-        result.extra["trigger_lag_mean_s"] = sum(lags) / len(lags) if lags else 0.0
-        result.extra["trigger_lag_max_s"] = max(lags) if lags else 0.0
-        result.extra["trigger_events"] = sorted(
-            event for c in self.gen.consumers for event in c.trigger_events
-        )
         result.extra["sender_counters"] = self.sender_counters
         result.extra["receiver_counters"] = self.receiver_counters
         if self.chaos is not None:
@@ -795,7 +788,6 @@ class _Consumer:
         self.state: dict = {}
         self.state_bytes = 0.0
         self._last_contribution: dict = {}
-        self.trigger_lag_s: list[float] = []
         #: (fire_time_s, lag_s) per fired window, for latency timelines.
         self.trigger_events: list[tuple[float, float]] = []
         # Per-consumer result sinks: a discarded generation's output dies
@@ -974,7 +966,6 @@ class _Consumer:
         if not extracted:
             return
         last = self._last_contribution.pop(window_id, ctx.sim.now)
-        self.trigger_lag_s.append(ctx.sim.now - last)
         self.trigger_events.append((ctx.sim.now, ctx.sim.now - last))
         emit_cost = self.node.cost_model.compute_cost(ctx.engine.costs.emit)
         yield from self.core.execute(emit_cost, float(len(extracted)))
@@ -993,7 +984,6 @@ class _Consumer:
         }
         if extracted:
             last = self._last_contribution.pop(window_id, ctx.sim.now)
-            self.trigger_lag_s.append(ctx.sim.now - last)
             self.trigger_events.append((ctx.sim.now, ctx.sim.now - last))
         produced = 0
         for key, payload in extracted.items():

@@ -94,6 +94,31 @@ class RunResult:
         return {"whole": self.counters}
 
 
+def record_run_extras(
+    result: RunResult, trigger_events: list, injector=None, elastic=None,
+    sanitize=None,
+) -> None:
+    """The ``result.extra`` entries every engine reports the same way.
+
+    ``trigger_events`` is the run's ``(fire_time_s, lag_s)`` per fired
+    window, concatenated in executor order: its lags give
+    ``trigger_lag_mean_s``/``trigger_lag_max_s``, and it is kept
+    time-sorted as ``trigger_events`` (the elastic protocol slices it
+    into migration-window vs steady-state latency).  Each armed plane
+    adds its report: ``faults``, ``elastic`` and ``sanitizer_checks``.
+    """
+    lags = [lag for _fired, lag in trigger_events]
+    result.extra["trigger_lag_mean_s"] = sum(lags) / len(lags) if lags else 0.0
+    result.extra["trigger_lag_max_s"] = max(lags) if lags else 0.0
+    result.extra["trigger_events"] = sorted(trigger_events)
+    if injector is not None:
+        result.extra["faults"] = injector.report()
+    if elastic is not None:
+        result.extra["elastic"] = elastic.report()
+    if sanitize is not None:
+        result.extra["sanitizer_checks"] = sanitize.check_counts()
+
+
 class SlashEngine(SystemHooks):
     """The native RDMA-accelerated engine (the paper's Slash)."""
 
@@ -313,22 +338,16 @@ class SlashEngine(SystemHooks):
             node_counters = executor.node.counters()
             result.per_node_counters.append(node_counters)
             result.counters.merge(node_counters)
-        lags = [
-            lag for e in executors for lag in e.results.trigger_lag_s
-        ]
-        result.extra["trigger_lag_mean_s"] = sum(lags) / len(lags) if lags else 0.0
-        result.extra["trigger_lag_max_s"] = max(lags) if lags else 0.0
-        # Timestamped fires, cluster-wide: the elastic harness slices
-        # these into migration-window vs steady-state latency.
-        result.extra["trigger_events"] = sorted(
-            event for e in executors for event in e.results.trigger_events
+        record_run_extras(
+            result,
+            [event for e in executors for event in e.results.trigger_events],
+            injector, elastic, sim.sanitize,
         )
         result.extra["connections"] = cm.connection_count
         result.extra["state_bytes"] = sum(
             e.backend.total_state_bytes() for e in executors
         )
         if injector is not None:
-            result.extra["faults"] = injector.report()
             # Kernel queue health under chaos: RTO/credit races must not
             # leave live timers accumulating (FirstOf losers are cancelled
             # into heap tombstones, not fired into no-ops).
@@ -337,17 +356,13 @@ class SlashEngine(SystemHooks):
                 "cancelled_events": sim.cancelled_events,
                 "pending_timers_at_drain": sim.pending_timers,
             }
-        if elastic is not None:
-            result.extra["elastic"] = elastic.report()
         if overload is not None:
             result.extra["overload"] = overload.report()
             if self.overload_config.record_masks:
-                # Per-batch keep masks for the harness's differential
+                # Per-batch keep masks for the overload suite's differential
                 # oracle: rebuild the admitted-only flows and prove the
                 # run lost nothing *besides* what it logged as shed.
                 result.extra["overload_keep_masks"] = dict(overload.keep_masks)
-        if sim.sanitize is not None:
-            result.extra["sanitizer_checks"] = sim.sanitize.check_counts()
         return result
 
     @staticmethod

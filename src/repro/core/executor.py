@@ -156,11 +156,9 @@ class ExecutorResults:
     aggregates: dict = field(default_factory=dict)
     join_pairs: list = field(default_factory=list)
     emitted: int = 0
-    # Per fired window: simulated seconds between the last locally-ingested
-    # contribution to that window (cluster-wide max) and the trigger.
-    trigger_lag_s: list = field(default_factory=list)
-    # (fire time, lag) per fired window — the elastic harness slices
-    # these into migration-window vs steady-state latency.
+    # (fire time, lag) per fired window: the lag is the simulated seconds
+    # between the last locally-ingested contribution to that window
+    # (cluster-wide max) and the trigger.
     trigger_events: list = field(default_factory=list)
 
 
@@ -806,7 +804,6 @@ class SlashExecutor:
         if not extracted:
             return
         last = self._last_contribution.pop(window_id, self.sim.now)
-        self.results.trigger_lag_s.append(self.sim.now - last)
         self.results.trigger_events.append((self.sim.now, self.sim.now - last))
         trace(
             self.sim, "window", f"exec{self.executor_id} fired w{window_id}",
@@ -841,7 +838,6 @@ class SlashExecutor:
         if not extracted:
             return
         last = self._last_contribution.pop(window_id, self.sim.now)
-        self.results.trigger_lag_s.append(self.sim.now - last)
         self.results.trigger_events.append((self.sim.now, self.sim.now - last))
         produced = 0
         for key, payload in extracted.items():

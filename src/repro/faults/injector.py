@@ -65,7 +65,7 @@ import copy
 import dataclasses
 from typing import Any
 
-from repro.common.errors import FaultError, RecoveryError
+from repro.common.errors import CapabilityError, FaultError, RecoveryError
 from repro.core.costs import quantize_working_set
 from repro.core.system import (
     RECOVERY_STRATEGIES,
@@ -263,27 +263,7 @@ class FaultInjector:
             for e in self.plan
         )
         if recovery_capable:
-            plan0 = executors[0].plan
-            # Crash recovery re-fires restored windows; that is only
-            # exactly-once when a fire *extracts* all of a window's state
-            # (non-overlapping windows).  Overlapping sliding windows and
-            # session windows share state across fires, so a re-fire
-            # would emit slice-incomplete values — reject those up front.
-            window = plan0.window
-            unsupported = (
-                plan0.is_join
-                or isinstance(window, SessionWindows)
-                or (
-                    isinstance(window, SlidingWindow)
-                    and window.slices_per_window > 1
-                )
-            )
-            if unsupported:
-                raise FaultError(
-                    "leader-crash recovery supports windowed aggregations with "
-                    "non-overlapping windows (tumbling, or sliding with "
-                    "slide == size); use a non-crash fault for this query"
-                )
+            _require_refireable(executors[0].plan)
         for executor in executors:
             self._node_to_exec[executor.node.index] = executor.executor_id
             self._cuts[executor.executor_id] = []
@@ -328,26 +308,9 @@ class FaultInjector:
             for e in self.plan
         )
         if recovery_capable:
-            # Same exactly-once restriction as register(): the global
-            # restart re-fires windows restored from the snapshot, which
-            # is only safe when a fire extracts all of a window's state.
-            plan0 = controller.ctx.plan
-            window = plan0.window
-            unsupported = (
-                plan0.is_join
-                or isinstance(window, SessionWindows)
-                or (
-                    isinstance(window, SlidingWindow)
-                    and window.slices_per_window > 1
-                )
-            )
-            if unsupported:
-                raise FaultError(
-                    "leader-crash recovery supports windowed aggregations "
-                    "with non-overlapping windows (tumbling, or sliding "
-                    "with slide == size); use a non-crash fault for this "
-                    "query"
-                )
+            # The global restart re-fires windows restored from the
+            # snapshot: the same restriction as register().
+            _require_refireable(controller.ctx.plan)
         for index, proxy in enumerate(self.executors):
             self._node_to_exec[proxy.node.index] = index
             self._cuts[index] = []
@@ -1084,6 +1047,13 @@ class FaultInjector:
                         nl_exec.node.index, target.node.index
                     ).send(total)
                     self._abort_if_dead(victim, new_leader)
+                    if (
+                        leader in self.crashed
+                        or self.directory.leader_of_partition(partition) != leader
+                    ):
+                        # The target died during the transfer; its own
+                        # recovery merges the retained backlog instead.
+                        continue
             for delta in deltas:
                 fresh = target.handle.merge_delta(delta)
                 if fresh:
@@ -1342,6 +1312,29 @@ class FaultInjector:
             "checkpoints_committed": committed,
             **self.stats,
         }
+
+
+def _require_refireable(plan: Any) -> None:
+    """Reject a query whose windows crash recovery cannot re-fire.
+
+    Recovery re-fires restored windows; that is only exactly-once when a
+    fire *extracts* all of a window's state (non-overlapping windows).
+    Joins, session windows and overlapping sliding windows share state
+    across fires, so a re-fire would emit slice-incomplete values.  A
+    request for one is malformed, not a failed run: it raises
+    :class:`CapabilityError` before the faulted run starts.
+    """
+    window = plan.window
+    if (
+        plan.is_join
+        or isinstance(window, SessionWindows)
+        or (isinstance(window, SlidingWindow) and window.slices_per_window > 1)
+    ):
+        raise CapabilityError(
+            "leader-crash recovery supports windowed aggregations with "
+            "non-overlapping windows (tumbling, or sliding with "
+            "slide == size); use a non-crash fault for this query"
+        )
 
 
 def _copy_payload(payload: Any) -> Any:

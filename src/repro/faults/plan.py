@@ -5,9 +5,10 @@ Each event names a *kind*, a simulated instant ``at_s``, a *target*
 (executor/node index, or a ``(src, dst)`` pair for channel-level
 faults), and kind-specific knobs (duration, degradation factor, count).
 Plans are plain data: they can be built explicitly, from the named
-presets the ``chaos`` harness command exposes, or drawn from a seeded
-:class:`~repro.common.rng.RngTree` stream — the same seed always yields
-the same schedule, which is what makes chaos runs regression-testable.
+presets the ``chaos`` suite grid sweeps as its ``fault`` axis, or drawn
+from a seeded :class:`~repro.common.rng.RngTree` stream — the same seed
+always yields the same schedule, which is what makes chaos runs
+regression-testable.
 """
 
 from __future__ import annotations
@@ -153,7 +154,8 @@ class FaultEvent:
                 )
 
 
-#: Named single-fault presets understood by ``repro chaos --fault``.
+#: Named fault presets, the values of the ``chaos`` grid's ``fault`` axis
+#: (``repro run chaos --axis fault=...``).
 #: Each maps to a builder on :class:`FaultPlan`.
 PRESETS = (
     "leader-crash",

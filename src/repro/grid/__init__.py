@@ -6,8 +6,9 @@ buffer size, skew, shed policy, ...), the fixed knobs, a cell template,
 and a report function; :func:`run_grid` expands the cartesian product in
 declaration order, executes the cells through the shared serial/pool
 runners, and renders the figure.  Importing this package registers every
-built-in grid (the 14 paper figures/ablations plus the production
-traffic suite) into :data:`~repro.grid.registry.GRIDS`.
+built-in grid (the 14 paper figures/ablations, the production traffic
+suites, and the chaos/elastic/overload/sanitize acceptance suites) into
+:data:`~repro.grid.registry.GRIDS`.
 """
 
 from repro.grid.cells import (
@@ -18,6 +19,7 @@ from repro.grid.cells import (
     make_pool,
     run_cell,
     scenario_cell,
+    suite_cell,
     transfer_cell,
 )
 from repro.grid.spec import (
@@ -42,10 +44,12 @@ from repro.grid.registry import (
     resolve_grid,
 )
 
-# Importing the suites registers their grids (declaration order is the
-# --list order: the paper figures first, then the traffic suites).
+# Importing the modules registers their grids (declaration order is the
+# --list order: the paper figures, the traffic suites, then the
+# acceptance suites).
 from repro.grid import figures as _figures  # noqa: F401
 from repro.grid import traffic as _traffic  # noqa: F401
+from repro.grid import suites as _suites  # noqa: F401
 
 from repro.grid.figures import LINK_BANDWIDTH
 from repro.grid.traffic import slo_report
@@ -77,5 +81,6 @@ __all__ = [
     "run_grid",
     "scenario_cell",
     "slo_report",
+    "suite_cell",
     "transfer_cell",
 ]

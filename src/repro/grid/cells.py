@@ -14,13 +14,16 @@ That is the determinism contract (see ``docs/performance.md``):
 * the runner returns results positionally, never by completion order;
 * all formatting happens in the parent process.
 
-Two cell kinds cover every experiment:
+Three cell kinds cover every experiment:
 
 * ``scenario`` — one :func:`repro.runtime.run_scenario` call from a
   declarative :class:`~repro.runtime.Scenario` spec (sanitizer, fault,
   elastic, overload and cost-strategy hooks all attach through it);
 * ``transfer`` — one RO transfer benchmark, resolved through the
-  engine registry's ``transfer_bench`` capability.
+  engine registry's ``transfer_bench`` capability;
+* ``suite`` — one whole acceptance protocol run (chaos, elastic,
+  overload or sanitize, see :mod:`repro.grid.suites`), returning its
+  report.
 
 The cells live below the harness, in the grid layer, so declarative
 grids can expand into cells without an upward import.
@@ -114,6 +117,11 @@ def transfer_cell(
     )
 
 
+def suite_cell(suite: str, kwargs: dict) -> Cell:
+    """One acceptance protocol run: ``suite`` called with ``kwargs``."""
+    return ("suite", {"suite": suite, "kwargs": kwargs})
+
+
 # -- cell execution ----------------------------------------------------------
 
 def run_cell(cell: Cell) -> Any:
@@ -135,6 +143,10 @@ def run_cell(cell: Cell) -> Any:
         )
         bench = REGISTRY.transfer_bench(params["system"], **params["bench_kwargs"])
         return bench.run(workload)
+    if kind == "suite":
+        from repro.grid.suites import PROTOCOLS
+
+        return PROTOCOLS[params["suite"]](**params["kwargs"])
     raise ConfigError(f"unknown cell kind {kind!r}")
 
 

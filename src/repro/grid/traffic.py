@@ -15,7 +15,7 @@ timeline (via the shared :mod:`repro.metrics.slo` helpers), reads the
 coordinator's record-delay percentiles and shed accounting, and renders
 the per-tenant fairness table from the same
 :func:`~repro.metrics.slo.fairness_shares` arithmetic the overload
-harness uses.
+suite uses.
 """
 
 from __future__ import annotations

@@ -1,7 +1,6 @@
-"""The user-facing harness: the ``python -m repro`` CLI and the suites.
+"""The user-facing harness: the ``python -m repro`` CLI, nothing else.
 
-Every paper table and figure is a registered sweep grid (see
-:mod:`repro.grid`); :mod:`repro.harness.cli` runs them by name.  The
-sequential acceptance suites — chaos, elastic rescale, overload — live
-in :mod:`repro.harness.suites`.
+Every paper table and figure and every acceptance suite (chaos, elastic
+rescale, overload, sanitize) is a registered sweep grid (see
+:mod:`repro.grid`); :mod:`repro.harness.cli` runs them by name.
 """

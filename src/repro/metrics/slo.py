@@ -1,12 +1,11 @@
 """SLO-style latency statistics shared across the reporting stack.
 
-One home for the percentile and window-lag helpers that used to live as
-private copies inside ``harness/experiments.py`` (the elastic runner),
-``overload/coordinator.py`` (the delay report), and the per-figure
-report builders.  Everything here is pure arithmetic over plain data —
-no simulation imports — so the grid layer, the overload plane, and the
-harness can all share it without layering violations (``metrics`` sits
-at rank 3, below ``overload``/``elastic`` and far below ``harness``).
+One home for the percentile, window-lag and fairness helpers used by
+the acceptance suites (:mod:`repro.grid.suites`), the overload
+coordinator's delay report, and the grid report builders.  Everything
+here is pure arithmetic over plain data — no simulation imports — so
+all of them can share it without layering violations (``metrics`` sits
+at rank 3, below ``overload``/``elastic`` and far below ``grid``).
 
 Two percentile conventions coexist deliberately:
 

@@ -1,11 +1,12 @@
 """One result differ for every comparison path in the repo.
 
-Three callers used to hand-roll result comparison — the experiment
-harness (``_compare_aggregates``), the sanitizer's differential oracle,
-and the chaos zero-lost-results check.  They all go through here now:
-:func:`diff_aggregates` for the raw key-level comparison and
-:func:`diff_results` for whole :class:`~repro.core.engine.RunResult`
-envelopes (aggregation *or* join queries).
+Every comparison goes through here: the acceptance suites' oracles
+(chaos zero-lost-results, the elastic migration oracle, the overload
+mask-replay oracle in :mod:`repro.grid.suites`) and the sanitizer's
+differential oracle.  They use :func:`diff_aggregates` for the raw
+key-level comparison and :func:`diff_results` for whole
+:class:`~repro.core.engine.RunResult` envelopes (aggregation *or* join
+queries).
 """
 
 from __future__ import annotations

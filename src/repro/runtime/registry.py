@@ -1,10 +1,9 @@
 """The engine registry: one name → factory table for every system.
 
-Replaces the if/elif chains that used to live in ``harness/runner.py``
-and the sweep-cell runners.  Each entry carries the engine's capability
-flags, so sweeps and the chaos/sanitize harnesses can gate features
-(`fault injection on LightSaber`) *before* a run starts, and the CLI can
-suggest close names on typos.
+Each entry carries the engine's capability flags, so grids and the
+chaos/sanitize suites can gate features (`fault injection on
+LightSaber`) *before* a run starts, and the CLI can suggest close names
+on typos.
 """
 
 from __future__ import annotations

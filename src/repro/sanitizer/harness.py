@@ -1,18 +1,20 @@
-"""The ``python -m repro sanitize`` driver.
+"""The sanitize acceptance protocol (``python -m repro run sanitize``).
 
-Generates ``--scenarios`` seed-reproducible scenarios, runs each through
+Generates ``scenarios`` seed-reproducible scenarios, runs each through
 :func:`~repro.sanitizer.scenarios.run_scenario` (sanitized Slash vs the
 sequential reference oracle vs the partitioned baseline), and on failure
 greedily shrinks the scenario and prints a copy-pasteable repro command.
-``--replay`` re-runs one exact scenario from its JSON description — the
+``replay`` re-runs one exact scenario from its JSON description — the
 format ``repro_command`` emits — instead of generating fresh ones.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict
 from typing import Callable, Optional
 
+from repro.common.errors import StateError
 from repro.metrics.reporting import Report, TextTable
 from repro.sanitizer.scenarios import (
     Scenario,
@@ -23,19 +25,26 @@ from repro.sanitizer.scenarios import (
 from repro.sanitizer.shrinker import shrink
 
 
+def _to_stderr(line: str) -> None:
+    print(line, file=sys.stderr)
+
+
 def run_sanitize(
     scenarios: int = 25,
     seed: int = 1,
     replay: Optional[str] = None,
     shrink_failures: bool = True,
-    progress: Optional[Callable[[str], None]] = print,
+    progress: Optional[Callable[[str], None]] = _to_stderr,
     runner: Callable[[Scenario], ScenarioOutcome] = run_scenario,
 ) -> Report:
     """Run the differential oracle harness; returns a renderable report.
 
-    The report's ``rows`` carry one machine-readable dict per scenario;
-    a ``failures`` note count of zero means the gate passed (the CLI
-    exits non-zero otherwise).  ``runner`` is injectable for tests.
+    The report's ``rows`` carry one machine-readable dict per scenario.
+    Any failing scenario raises :class:`StateError` whose message lists
+    each (minimized) repro command and whose ``report`` attribute holds
+    the report, so the CLI still prints and writes it.  Progress lines go
+    to stderr by default, so a parallel sweep's stdout stays identical to
+    a serial one.  ``runner`` is injectable for tests.
     """
     emit = progress if progress is not None else (lambda _line: None)
     if replay is not None:
@@ -96,9 +105,9 @@ def run_sanitize(
             else "repro: " + smallest.repro_command()
         )
         emit("  " + smallest.repro_command())
-    return report
-
-
-def report_failed(report: Report) -> bool:
-    """Whether a :func:`run_sanitize` report recorded any failure."""
-    return any(not row["ok"] for row in report.rows)
+    error = StateError("\n".join(
+        [f"{len(failed)} of {len(plan)} sanitize scenarios failed"]
+        + report.notes[1:]
+    ))
+    error.report = report
+    raise error

@@ -5,13 +5,13 @@ randomized end-to-end check: which workload (query plan + generator
 parameters), at which cluster scale, with which channel/epoch knobs, and
 optionally under which fault preset.  :func:`generate_scenario` draws one
 deterministically from ``(seed, index)`` via :class:`~repro.common.rng.RngTree`,
-so ``python -m repro sanitize --scenarios N --seed S`` always replays the
-same N scenarios; :func:`run_scenario` executes one with sanitizers on
-and differentially compares Slash against the sequential reference
-oracle and the partitioned UpPar baseline.  Engines come from the
-:mod:`repro.runtime` registry and are armed through the generic
-``attach_sanitizer``/``attach_faults`` hooks, so UpPar runs under the
-same invariant checkers as Slash.
+so ``python -m repro run sanitize --set scenarios=N --axis seed=S``
+always replays the same N scenarios; :func:`run_scenario` executes one
+with sanitizers on and differentially compares Slash against the
+sequential reference oracle and the partitioned UpPar baseline.  Engines
+come from the :mod:`repro.runtime` registry and are armed through the
+generic ``attach_sanitizer``/``attach_faults`` hooks, so UpPar runs
+under the same invariant checkers as Slash.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Optional
 
-from repro.common.errors import ReproError
+from repro.common.errors import ConfigError, ReproError
 from repro.common.rng import RngTree
 
 #: Workloads the generator draws from.  The join workloads (nb8, nb11)
@@ -84,15 +84,18 @@ class Scenario:
 
     @classmethod
     def from_json(cls, text: str) -> "Scenario":
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"replay is not a scenario JSON: {exc}") from None
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
-            raise ReproError(f"unknown scenario fields: {sorted(unknown)}")
+            raise ConfigError(f"unknown scenario fields: {sorted(unknown)}")
         return cls(**data)
 
     def repro_command(self) -> str:
         """A copy-pasteable command that re-runs exactly this scenario."""
-        return f"python -m repro sanitize --replay '{self.to_json()}'"
+        return f"python -m repro run sanitize --set replay='{self.to_json()}'"
 
     def workload_overrides(self) -> dict[str, Any]:
         return {

@@ -1,4 +1,4 @@
-"""Tests for the ``elastic`` CLI subcommand."""
+"""Tests for the ``elastic`` suite grid through the CLI."""
 
 import json
 
@@ -7,7 +7,8 @@ from repro.harness.cli import main
 
 def test_quick_run_prints_the_latency_table(capsys):
     code = main([
-        "elastic", "--quick", "--records", "1200", "--strategy", "both",
+        "run", "elastic", "--quick", "--set", "records_per_thread=1200",
+        "--set", "strategy=both",
     ])
     assert code == 0
     out = capsys.readouterr().out
@@ -18,8 +19,8 @@ def test_quick_run_prints_the_latency_table(capsys):
 
 def test_out_dir_gets_text_and_json(tmp_path, capsys):
     code = main([
-        "elastic", "--quick", "--records", "1200",
-        "--strategy", "all-at-once", "--out", str(tmp_path),
+        "run", "elastic", "--quick", "--set", "records_per_thread=1200",
+        "--set", "strategy=all-at-once", "--out", str(tmp_path),
     ])
     assert code == 0
     assert (tmp_path / "elastic.txt").exists()
@@ -32,7 +33,7 @@ def test_out_dir_gets_text_and_json(tmp_path, capsys):
 
 
 def test_unknown_strategy_suggests_a_fix(capsys):
-    assert main(["elastic", "--strategy", "fluda"]) == 1
+    assert main(["run", "elastic", "--set", "strategy=fluda"]) == 2
     err = capsys.readouterr().err
     assert "ELASTIC FAILED" in err
     assert "fluid" in err
@@ -40,9 +41,10 @@ def test_unknown_strategy_suggests_a_fix(capsys):
 
 def test_non_elastic_engine_fails_with_the_capable_set(capsys):
     code = main([
-        "elastic", "--system", "flink", "--quick", "--records", "600",
+        "run", "elastic", "--set", "system=flink", "--quick",
+        "--set", "records_per_thread=600",
     ])
-    assert code == 1
+    assert code == 2
     err = capsys.readouterr().err
     assert "ELASTIC FAILED" in err
     assert "slash" in err and "uppar" in err
@@ -50,24 +52,25 @@ def test_non_elastic_engine_fails_with_the_capable_set(capsys):
 
 def test_rescale_past_horizon_fails_cleanly(capsys):
     code = main([
-        "elastic", "--quick", "--records", "600",
-        "--strategy", "fluid", "--rescale-frac", "0.999999",
+        "run", "elastic", "--quick", "--set", "records_per_thread=600",
+        "--set", "strategy=fluid", "--set", "rescale_frac=0.999999",
     ])
     # Either the run squeaks in before the horizon (exit 0) or the
-    # coordinator reports the miss as a clean config failure (exit 1) —
+    # coordinator reports the miss as a clean config failure (exit 2) —
     # never a traceback.
     captured = capsys.readouterr()
-    if code == 1:
+    if code == 2:
         assert "ELASTIC FAILED" in captured.err
     else:
+        assert code == 0
         assert "migration-window latency" in captured.out
 
 
 def test_chaos_cli_accepts_the_elastic_flag(capsys):
     code = main([
-        "chaos", "--fault", "leader-crash", "--elastic", "fluid",
-        "--records", "800", "--no-determinism-check",
-        "--strategy", "epoch-buddy",
+        "run", "chaos", "--axis", "fault=leader-crash",
+        "--set", "elastic=fluid", "--set", "records_per_thread=800",
+        "--set", "verify_determinism=false", "--set", "strategy=epoch-buddy",
     ])
     assert code == 0
     out = capsys.readouterr().out

@@ -10,7 +10,7 @@ mid-simulation crash.
 
 import pytest
 
-from repro.common.errors import CapabilityError, ConfigError, StateError
+from repro.common.errors import CapabilityError, ConfigError
 from repro.elastic.plan import ElasticPlan
 from repro.runtime import REGISTRY, Scenario, run_scenario
 
@@ -67,13 +67,13 @@ class TestRescalePastHorizon:
 
 class TestHarnessValidation:
     def test_rescale_frac_bounds(self):
-        from repro.harness.suites import run_elastic
+        from repro.grid.suites import run_elastic
 
-        with pytest.raises(StateError, match="rescale_frac"):
+        with pytest.raises(ConfigError, match="rescale_frac"):
             run_elastic(rescale_frac=1.5, records_per_thread=300)
 
     def test_unknown_engine_fails_before_any_run(self):
-        from repro.harness.suites import run_elastic
+        from repro.grid.suites import run_elastic
 
         with pytest.raises(ConfigError, match="slash"):
             run_elastic(system="slassh", records_per_thread=300)

@@ -118,6 +118,22 @@ class TestBuddyCrash:
         assert mismatched == []
         assert faulted.extra["faults"]["terms"]["split_brain"] == []
 
+    def test_redelivery_target_dying_mid_transfer_is_skipped(self):
+        # At this size the buddy's recovery is still shipping its
+        # retained deltas to the victim when the victim crashes and its
+        # own takeover reassigns the partition; the first recovery must
+        # leave those deltas to the second instead of merging them into
+        # a dead non-leader.
+        workload = make_workload("ysb", records_per_thread=1500)
+        flows = workload.flows(NODES, THREADS)
+        baseline = REGISTRY.create("slash", NODES).run(workload.build_query(), flows)
+        plan = FaultPlan.preset("buddy-crash", 7, NODES, baseline.sim_seconds)
+        faulted = REGISTRY.create(
+            "slash", NODES, fault_plan=plan,
+            fault_overrides=_overrides(baseline.sim_seconds),
+        ).run(workload.build_query(), flows)
+        assert diff_aggregates(baseline.aggregates, faulted.aggregates) == ([], [], [])
+
 
 class TestQuorumLoss:
     def test_majority_loss_fails_fast_instead_of_wedging(self, baseline):

@@ -7,7 +7,7 @@ results, exactly-once delta admission, and seed-reproducibility.
 
 import pytest
 
-from repro.common.errors import FaultError
+from repro.common.errors import CapabilityError
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.runtime import REGISTRY, diff_aggregates, make_workload
 
@@ -111,13 +111,14 @@ class TestCreditStarvation:
 class TestUnsupportedPlans:
     def test_crash_recovery_rejected_for_join_queries(self):
         # Join state is not covered by the checkpoint/replay protocol;
-        # the injector must refuse rather than silently lose results.
+        # the injector must refuse (a malformed request, not a failed
+        # run) rather than silently lose results.
         workload = make_workload("nb8", records_per_thread=200, batch_records=50)
         plan = FaultPlan(events=(FaultEvent(FaultKind.NODE_CRASH, 1e-6, 1),))
         engine = REGISTRY.create(
             "slash", 2, fault_plan=plan, fault_overrides=_overrides(1e-4)
         )
-        with pytest.raises(FaultError):
+        with pytest.raises(CapabilityError, match="non-overlapping windows"):
             engine.run(workload.build_query(), workload.flows(2, 1))
 
     def test_non_crash_faults_allowed_for_join_queries(self):

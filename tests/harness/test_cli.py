@@ -57,8 +57,8 @@ def test_every_registered_experiment_has_description():
 
 def test_chaos_command_writes_outputs(tmp_path, capsys):
     code = main(
-        ["chaos", "--fault", "leader-crash", "--seed", "7",
-         "--records", "600", "--out", str(tmp_path)]
+        ["run", "chaos", "--axis", "fault=leader-crash", "--axis", "seed=7",
+         "--set", "records_per_thread=600", "--out", str(tmp_path)]
     )
     assert code == 0
     out = capsys.readouterr().out
@@ -71,14 +71,14 @@ def test_chaos_command_writes_outputs(tmp_path, capsys):
 
 
 def test_chaos_unknown_preset_suggests_closest(capsys):
-    assert main(["chaos", "--fault", "leader-crsh"]) == 1
+    assert main(["run", "chaos", "--axis", "fault=leader-crsh"]) == 2
     err = capsys.readouterr().err
     assert "unknown fault preset" in err
     assert "did you mean 'leader-crash'?" in err
 
 
 def test_chaos_unknown_preset_lists_known(capsys):
-    assert main(["chaos", "--fault", "xyzzy"]) == 1
+    assert main(["run", "chaos", "--axis", "fault=xyzzy"]) == 2
     err = capsys.readouterr().err
     assert "known:" in err
     assert "net-partition" in err and "cascade" in err
@@ -86,8 +86,8 @@ def test_chaos_unknown_preset_lists_known(capsys):
 
 def test_chaos_cascade_preset_reports_mttr_columns(tmp_path, capsys):
     code = main(
-        ["chaos", "--fault", "cascade", "--seed", "7",
-         "--records", "600", "--out", str(tmp_path)]
+        ["run", "chaos", "--axis", "fault=cascade", "--axis", "seed=7",
+         "--set", "records_per_thread=600", "--out", str(tmp_path)]
     )
     assert code == 0
     out = capsys.readouterr().out
@@ -100,16 +100,17 @@ def test_chaos_cascade_preset_reports_mttr_columns(tmp_path, capsys):
 
 
 def test_chaos_parser_defaults():
-    args = build_parser().parse_args(["chaos"])
-    assert args.fault == "leader-crash"
-    assert args.seed == 7
-    assert args.nodes == 3
-    assert args.system == "slash"
-    assert not args.no_determinism_check
+    grid = GRIDS["chaos"]
+    axes = dict(grid.axes)
+    assert axes["fault"] == ("leader-crash",)
+    assert axes["seed"] == (7,)
+    assert grid.fixed["nodes"] == 3
+    assert grid.fixed["system"] == "slash"
+    assert grid.fixed["verify_determinism"] is True
 
 
 def test_chaos_unknown_system_suggests_closest(capsys):
-    assert main(["chaos", "--system", "slsh"]) == 1
+    assert main(["run", "chaos", "--set", "system=slsh"]) == 2
     err = capsys.readouterr().err
     assert "CHAOS FAILED" in err
     assert "unknown system 'slsh'" in err
@@ -117,7 +118,7 @@ def test_chaos_unknown_system_suggests_closest(capsys):
 
 
 def test_chaos_system_without_fault_plane_fails_fast(capsys):
-    assert main(["chaos", "--system", "lightsaber"]) == 1
+    assert main(["run", "chaos", "--set", "system=lightsaber"]) == 2
     err = capsys.readouterr().err
     assert "CHAOS FAILED" in err
     assert "lacks required capability" in err
@@ -127,41 +128,52 @@ def test_chaos_system_without_fault_plane_fails_fast(capsys):
 def test_chaos_unsupported_kind_names_supported_ones(capsys):
     """Flink has a fault plane but no crash recovery: leader-crash is a
     capability error naming the kinds it *can* absorb."""
-    assert main(["chaos", "--system", "flink", "--fault", "leader-crash",
-                 "--records", "400"]) == 1
+    assert main(["run", "chaos", "--set", "system=flink",
+                 "--axis", "fault=leader-crash",
+                 "--set", "records_per_thread=400"]) == 2
     err = capsys.readouterr().err
     assert "CHAOS FAILED" in err
     assert "node-crash" in err
     assert "drop-chunk" in err
 
 
+def test_chaos_crash_on_join_query_is_a_malformed_request(capsys):
+    """Crash recovery cannot re-fire join windows: a capability error
+    (exit 2), not a failed zero-lost-results check (exit 1)."""
+    assert main(["run", "chaos", "--set", "workload_name=nb8",
+                 "--set", "records_per_thread=400"]) == 2
+    err = capsys.readouterr().err
+    assert "CHAOS FAILED" in err
+    assert "non-overlapping windows" in err
+
+
 def test_chaos_strategy_parser_default():
-    args = build_parser().parse_args(["chaos"])
-    assert args.strategy == "both"
+    assert GRIDS["chaos"].fixed["strategy"] == "both"
 
 
 def test_chaos_unknown_strategy_suggests_closest(capsys):
-    assert main(["chaos", "--strategy", "asyn-snapshot"]) == 1
+    assert main(["run", "chaos", "--set", "strategy=asyn-snapshot"]) == 2
     err = capsys.readouterr().err
     assert "unknown recovery strategy" in err
     assert "did you mean 'async-snapshot'?" in err
 
 
 def test_chaos_help_lists_strategies(capsys):
-    with pytest.raises(SystemExit):
-        main(["chaos", "--help"])
-    out = capsys.readouterr().out
-    assert "epoch-buddy" in out
-    assert "async-snapshot" in out
+    """An unknown strategy name lists every strategy the suite takes."""
+    assert main(["run", "chaos", "--set", "strategy=help"]) == 2
+    err = capsys.readouterr().err
+    assert "epoch-buddy" in err
+    assert "async-snapshot" in err
 
 
 def test_chaos_uppar_crash_recovers_via_async_snapshot(tmp_path, capsys):
     """The headline: UpPar survives a leader crash with zero lost results
     through aligned snapshots + global restart."""
     code = main(
-        ["chaos", "--system", "uppar", "--fault", "leader-crash",
-         "--strategy", "async-snapshot", "--seed", "7",
-         "--records", "400", "--out", str(tmp_path)]
+        ["run", "chaos", "--set", "system=uppar",
+         "--axis", "fault=leader-crash", "--set", "strategy=async-snapshot",
+         "--axis", "seed=7", "--set", "records_per_thread=400",
+         "--out", str(tmp_path)]
     )
     assert code == 0
     out = capsys.readouterr().out
@@ -175,9 +187,9 @@ def test_chaos_uppar_crash_recovers_via_async_snapshot(tmp_path, capsys):
 
 def test_chaos_both_strategies_render_comparison(tmp_path, capsys):
     code = main(
-        ["chaos", "--fault", "leader-crash", "--seed", "7",
-         "--records", "400", "--no-determinism-check",
-         "--out", str(tmp_path)]
+        ["run", "chaos", "--axis", "fault=leader-crash", "--axis", "seed=7",
+         "--set", "records_per_thread=400",
+         "--set", "verify_determinism=false", "--out", str(tmp_path)]
     )
     assert code == 0
     out = capsys.readouterr().out
@@ -192,8 +204,9 @@ def test_chaos_both_strategies_render_comparison(tmp_path, capsys):
 
 def test_chaos_on_uppar_through_generic_hooks(tmp_path, capsys):
     code = main(
-        ["chaos", "--system", "uppar", "--fault", "nic-flap", "--seed", "7",
-         "--nodes", "2", "--records", "600", "--out", str(tmp_path)]
+        ["run", "chaos", "--set", "system=uppar", "--axis", "fault=nic-flap",
+         "--axis", "seed=7", "--set", "nodes=2",
+         "--set", "records_per_thread=600", "--out", str(tmp_path)]
     )
     assert code == 0
     out = capsys.readouterr().out
@@ -202,3 +215,19 @@ def test_chaos_on_uppar_through_generic_hooks(tmp_path, capsys):
     assert rows[0]["system"] == "uppar"
     assert rows[0]["zero_lost"] is True
     assert rows[0]["deterministic"] is True
+
+
+def test_help_lists_only_list_and_run(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert "{list,run,grid}" in out
+    for removed in ("chaos", "elastic", "overload", "sanitize"):
+        assert removed not in out
+
+
+def test_run_list_shows_the_acceptance_suites(capsys):
+    assert main(["run", "--list"]) == 0
+    out = capsys.readouterr().out
+    for suite in ("chaos", "elastic", "overload", "sanitize"):
+        assert f"\n{suite} " in out

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.harness.suites import run_chaos, run_elastic
+from repro.grid.suites import run_chaos, run_elastic
 
 
 def test_run_chaos_unknown_preset_suggests_closest():

@@ -1,4 +1,4 @@
-"""Tests for the ``overload`` CLI subcommand."""
+"""Tests for the ``overload`` suite grid through the CLI."""
 
 import json
 
@@ -6,7 +6,7 @@ from repro.harness.cli import main
 
 
 def test_quick_run_prints_the_acceptance_tables(capsys):
-    code = main(["overload", "--quick"])
+    code = main(["run", "overload", "--quick"])
     assert code == 0
     out = capsys.readouterr().out
     assert "flash crowd" in out
@@ -20,8 +20,8 @@ def test_quick_run_prints_the_acceptance_tables(capsys):
 
 def test_out_dir_gets_text_and_json(tmp_path, capsys):
     code = main([
-        "overload", "--quick", "--policy", "fair", "--fault", "none",
-        "--out", str(tmp_path),
+        "run", "overload", "--quick", "--set", "policy=fair",
+        "--set", "fault=none", "--out", str(tmp_path),
     ])
     assert code == 0
     assert (tmp_path / "overload.txt").exists()
@@ -35,16 +35,24 @@ def test_out_dir_gets_text_and_json(tmp_path, capsys):
 
 
 def test_non_capable_engine_fails_with_the_capable_set(capsys):
-    code = main(["overload", "--quick", "--system", "flink"])
-    assert code == 1
+    code = main(["run", "overload", "--quick", "--set", "system=flink"])
+    assert code == 2
     err = capsys.readouterr().err
     assert "OVERLOAD FAILED" in err
     assert "overload" in err
 
 
 def test_typo_policy_fails_with_a_suggestion(capsys):
-    code = main(["overload", "--quick", "--policy", "fare"])
-    assert code == 1
+    code = main(["run", "overload", "--quick", "--set", "policy=fare"])
+    assert code == 2
     err = capsys.readouterr().err
     assert "OVERLOAD FAILED" in err
     assert "fair" in err
+
+
+def test_unknown_gray_fault_fails_before_any_run(capsys):
+    code = main(["run", "overload", "--quick", "--set", "fault=slow-nod"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "OVERLOAD FAILED" in err
+    assert "unknown gray fault 'slow-nod'" in err

@@ -80,7 +80,7 @@ def test_attempt_budget_bounds_the_walk():
 
 def test_shrunk_scenario_round_trips_through_repro_command():
     smallest, _ = shrink(BIG, lambda s: s.records >= 100)
-    payload = smallest.repro_command().split("--replay '")[1].rstrip("'")
+    payload = smallest.repro_command().split("--set replay='")[1].rstrip("'")
     assert Scenario.from_json(payload) == smallest
 
 

@@ -114,5 +114,32 @@ def test_elastic_engines_get_migration_cells():
 def test_cli_emits_compact_json(capsys):
     assert gen_chaos_matrix.main([]) == 0
     out = capsys.readouterr().out
-    cells = json.loads(out)
-    assert cells == gen_chaos_matrix.build_matrix()
+    jobs = json.loads(out)
+    assert jobs == gen_chaos_matrix.build_jobs()
+
+
+def test_jobs_flatten_to_exactly_the_matrix():
+    """Grouping loses, duplicates and invents no cell."""
+    cells = gen_chaos_matrix.build_matrix()
+    jobs = gen_chaos_matrix.build_jobs(cells)
+    flattened = [
+        {"system": job["system"], "fault": fault,
+         "strategy": job["strategy"], "elastic": job["elastic"]}
+        for job in jobs
+        for fault in job["faults"].split(",")
+    ]
+    key = lambda c: (c["system"], c["fault"], c["strategy"], c["elastic"])
+    assert sorted(flattened, key=key) == sorted(cells, key=key)
+    assert len({key(c) for c in flattened}) == len(flattened)
+    assert len(jobs) <= 8
+    assert len({(j["system"], j["strategy"], j["elastic"]) for j in jobs}) \
+        == len(jobs)
+
+
+def test_migration_cells_run_in_jobs_of_their_own():
+    """A red migration job (one cell each) cannot hide a preset's failure:
+    a grid stops at its first failing cell, so every other job must hold
+    only presets that pass on their own."""
+    for job in gen_chaos_matrix.build_jobs():
+        if job["elastic"]:
+            assert job["faults"] == gen_chaos_matrix.MIGRATION_PRESET

@@ -9,28 +9,39 @@ recovery plane, with every strategy it can drive
 strategy therefore grows the CI matrix automatically — a hand-listed
 matrix silently stops covering what the registry can do.
 
-Cell shape (one JSON object per matrix include entry)::
+Cell shape::
 
     {"system": "uppar", "fault": "leader-crash", "strategy": "async-snapshot",
      "elastic": ""}
 
 ``strategy`` is ``""`` when the cell needs no recovery plane (the CI
-job omits ``--strategy``).  Data-plane presets run once under the
-engine's default strategy instead of once per strategy: the recovery
-plane is idle, so extra strategies would re-run the same simulation.
+job leaves the ``strategy`` knob at its default).  Data-plane presets
+run once under the engine's default strategy instead of once per
+strategy: the recovery plane is idle, so extra strategies would re-run
+the same simulation.
 
 Engines advertising ``CAP_ELASTIC`` additionally get **migration
 cells**: the ``leader-crash`` preset crossed with every migration
-strategy they support (``elastic`` holds the strategy name, passed to
-``--elastic``).  These are the migration × leader-crash differential
+strategy they support (``elastic`` holds the strategy name, the
+``elastic`` knob).  These are the migration × leader-crash differential
 cells — a mover crash mid-rescale must fence-rollback or complete,
 never leave partial ownership, and the run must still match the
 fail-free baseline.
 
+CI runs one **job** per ``(system, strategy, elastic)`` group, its
+presets swept as the chaos grid's ``fault`` axis (one matrix include
+entry each)::
+
+    {"system": "slash", "strategy": "epoch-buddy", "elastic": "",
+     "faults": "leader-crash,nic-flap,..."}
+
+    python -m repro run chaos -j 2 --axis fault=<faults> --set system=...
+        [--set strategy=...] [--set elastic=...]
+
 Usage::
 
-    PYTHONPATH=src python tools/gen_chaos_matrix.py          # compact JSON
-    PYTHONPATH=src python tools/gen_chaos_matrix.py --pretty # human listing
+    PYTHONPATH=src python tools/gen_chaos_matrix.py          # jobs, compact JSON
+    PYTHONPATH=src python tools/gen_chaos_matrix.py --pretty # cells by job
 """
 
 from __future__ import annotations
@@ -119,20 +130,39 @@ def build_matrix() -> list[dict]:
     return cells
 
 
+def build_jobs(cells: list[dict] | None = None) -> list[dict]:
+    """Group cells into one CI job per ``(system, strategy, elastic)``.
+
+    Jobs keep first-appearance order; each job's ``faults`` lists its
+    presets in cell order, comma-joined for ``--axis fault=``.
+    """
+    jobs: dict[tuple, list[str]] = {}
+    for cell in build_matrix() if cells is None else cells:
+        key = (cell["system"], cell["strategy"], cell["elastic"])
+        jobs.setdefault(key, []).append(cell["fault"])
+    return [
+        {"system": system, "strategy": strategy, "elastic": elastic,
+         "faults": ",".join(faults)}
+        for (system, strategy, elastic), faults in jobs.items()
+    ]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pretty", action="store_true",
-                        help="one human-readable line per cell")
+                        help="one human-readable line per cell, by job")
     args = parser.parse_args(argv)
     cells = build_matrix()
+    jobs = build_jobs(cells)
     if args.pretty:
-        for cell in cells:
-            strategy = cell["strategy"] or "-"
-            elastic = f" +{cell['elastic']} rescale" if cell["elastic"] else ""
-            print(f"{cell['system']:<12} {cell['fault']:<20} {strategy}{elastic}")
-        print(f"[{len(cells)} cells]", file=sys.stderr)
+        for job in jobs:
+            strategy = job["strategy"] or "-"
+            elastic = f" +{job['elastic']} rescale" if job["elastic"] else ""
+            for fault in job["faults"].split(","):
+                print(f"{job['system']:<12} {fault:<20} {strategy}{elastic}")
+        print(f"[{len(cells)} cells in {len(jobs)} jobs]", file=sys.stderr)
     else:
-        print(json.dumps(cells, separators=(",", ":")))
+        print(json.dumps(jobs, separators=(",", ":")))
     return 0
 
 

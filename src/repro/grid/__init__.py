@@ -23,9 +23,11 @@ from repro.grid.cells import (
     transfer_cell,
 )
 from repro.grid.spec import (
+    Claim,
     EngineSet,
     GridRun,
     SweepGrid,
+    check_claims,
     expand_grid,
     parse_axis_spec,
     parse_axis_value,
@@ -56,6 +58,7 @@ from repro.grid.traffic import slo_report
 
 __all__ = [
     "Cell",
+    "Claim",
     "EngineSet",
     "GRID_ALIASES",
     "GRIDS",
@@ -64,6 +67,7 @@ __all__ = [
     "PoolRunner",
     "SerialRunner",
     "SweepGrid",
+    "check_claims",
     "end_to_end_scenario_cell",
     "expand_grid",
     "grid_names",

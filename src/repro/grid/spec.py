@@ -12,7 +12,9 @@ A :class:`SweepGrid` names what used to be hand-rolled per figure:
   fixed knobs to one picklable :mod:`repro.grid.cells` cell;
 * a **report** function — the in-order cell results back to the figure's
   :class:`~repro.metrics.reporting.Report`;
-* **quick** overrides — the smoke-test sizes ``--quick`` applies.
+* **quick** overrides — the smoke-test sizes ``--quick`` applies;
+* **claims** — the paper's shape claims the report must bear out
+  (:class:`Claim`), checked by ``run`` at the grid's own sizes.
 
 :func:`run_grid` expands the cartesian product of the axes in
 declaration order (first axis outermost, exactly the nested-loop order
@@ -77,6 +79,26 @@ class EngineSet:
         )
 
 
+@dataclass(frozen=True)
+class Claim:
+    """One shape claim of the paper, checked against a report's rows.
+
+    ``artifact`` and ``text`` cite the paper artifact and the wording of
+    its EXPERIMENTS.md row; ``holds(rows)`` is the predicate over
+    ``report.rows``.  ``quick`` says whether the claim also holds at the
+    grid's ``--quick`` sizes; a claim that only emerges at the full
+    volumes (a saturated link, a long buffer's latency) sets it False.
+    """
+
+    artifact: str
+    text: str
+    holds: Callable[[list], bool]
+    quick: bool = True
+
+    def __str__(self) -> str:
+        return f"{self.artifact}: {self.text}"
+
+
 @dataclass
 class SweepGrid:
     """One declarative experiment: axes × cell template → report."""
@@ -99,6 +121,8 @@ class SweepGrid:
     #: ``--quick`` sizes: axis names map to swept values, every other key
     #: to a fixed knob (see :func:`quick_overrides`).
     quick: dict = field(default_factory=dict)
+    #: The paper's shape claims over the report's rows (see :class:`Claim`).
+    claims: tuple = ()
 
     def __post_init__(self):
         if not self.title:
@@ -136,6 +160,15 @@ def quick_overrides(grid: SweepGrid) -> tuple:
     axes = {k: v for k, v in grid.quick.items() if k in names}
     fixed = {k: v for k, v in grid.quick.items() if k not in names}
     return axes, fixed
+
+
+def check_claims(grid: SweepGrid, rows: list, quick: bool) -> list:
+    """``(claim, held)`` for each of the grid's claims; ``held`` is None
+    for a claim not checked at ``--quick`` sizes (``claim.quick`` False)."""
+    return [
+        (claim, bool(claim.holds(rows)) if claim.quick or not quick else None)
+        for claim in grid.claims
+    ]
 
 
 def resolve_axes(grid: SweepGrid, axis_overrides: Optional[dict] = None) -> dict:

@@ -16,8 +16,11 @@ or ``all`` of them, prints the rendered report, and optionally writes it
 (plus a machine-readable JSON of the raw rows) into an output directory.
 ``--quick`` applies each grid's smoke sizes; ``--axis``/``--set`` win
 over them.  The acceptance suites (``chaos``, ``elastic``, ``overload``,
-``sanitize``) are grids too.  Exit status: 0 on success, 1 when an
-acceptance check fails, 2 for a malformed request; both failures print
+``sanitize``) are grids too.  At a grid's own sizes (default or
+``--quick``), ``run`` checks the paper claims it carries after every
+report has printed, and prints one verdict table; any override leaves
+them unchecked.  Exit status: 0 on success, 1 when an acceptance check
+or a paper claim fails, 2 for a malformed request; every failure prints
 ``<GRID> FAILED: <reason>`` on stderr (see ``docs/fault_tolerance.md``).
 """
 
@@ -143,8 +146,44 @@ def _timed_grid(plan: tuple, runner=None) -> tuple:
     return report, time.time() - started
 
 
-def _emit_grid(grid, report, elapsed: float, out) -> None:
+def _emit_grid(grid, report, elapsed: float, out):
     _emit(grid.name, report, f"{grid.name}: {grid.description}", elapsed, out)
+    return report
+
+
+#: A claim's verdict cell: held, failed, or not checked at --quick sizes.
+_VERDICTS = {True: "holds", False: "FAILED", None: "full size only"}
+
+
+def _check_claims(grids: list, reports: list, quick: bool,
+                  overridden: bool) -> list:
+    """Print one verdict table over the grids' paper claims; returns the
+    failed ``(grid, claim)`` pairs.
+
+    Claims are checked only at a grid's own sizes: after an ``--axis`` or
+    ``--set`` override the rows answer a different question.
+    """
+    from repro.grid import check_claims
+    from repro.metrics.reporting import TextTable
+
+    claimed = [(g, r) for g, r in zip(grids, reports) if g.claims]
+    if not claimed:
+        return []
+    if overridden:
+        print("\nclaims not checked (sizes overridden)")
+        return []
+    table = TextTable(
+        f"paper claims at the {'--quick' if quick else 'default'} sizes",
+        ["grid", "artifact", "verdict", "claim"],
+    )
+    failed = []
+    for grid, report in claimed:
+        for claim, held in check_claims(grid, report.rows, quick):
+            if held is False:
+                failed.append((grid, claim))
+            table.add_row(grid.name, claim.artifact, _VERDICTS[held], claim.text)
+    print(f"\n{table.render()}")
+    return failed
 
 
 def _run(args) -> int:
@@ -178,13 +217,16 @@ def _run(args) -> int:
         if args.dry_run:
             for plan in plans:
                 _print_expansion(*plan)
-        elif args.profile:
-            _run_profiled(plans, args.out)
+            return 0
+        if args.profile:
+            reports = _run_profiled(plans, args.out)
         elif args.jobs <= 1:
-            for plan in plans:
+            reports = [
                 _emit_grid(plan[0], *_timed_grid(plan), args.out)
+                for plan in plans
+            ]
         else:
-            _run_parallel(plans, args.jobs, args.out)
+            reports = _run_parallel(plans, args.jobs, args.out)
     except ConfigError as exc:
         # Unknown grid / axis / knob / preset / strategy names (each with
         # a did-you-mean suggestion), malformed override specs, empty
@@ -201,10 +243,15 @@ def _run(args) -> int:
             _emit_grid(grids[0], report, time.time() - started, args.out)
         print(f"{label.upper()} FAILED: {exc}", file=sys.stderr)
         return 1
-    return 0
+    failed = _check_claims(
+        grids, reports, args.quick, bool(axis_overrides or fixed_overrides)
+    )
+    for grid, claim in failed:
+        print(f"{grid.name.upper()} FAILED: claim {claim}", file=sys.stderr)
+    return 1 if failed else 0
 
 
-def _run_parallel(plans: list, jobs: int, out) -> None:
+def _run_parallel(plans: list, jobs: int, out) -> list:
     """Fan cells (and, for several grids, whole grids) out over one shared
     process pool of ``jobs`` workers.
 
@@ -220,24 +267,28 @@ def _run_parallel(plans: list, jobs: int, out) -> None:
             ThreadPoolExecutor(max_workers=len(plans)) as drivers:
         runner = PoolRunner(pool, jobs)
         futures = [drivers.submit(_timed_grid, plan, runner) for plan in plans]
-        for plan, future in zip(plans, futures):
+        return [
             _emit_grid(plan[0], *future.result(), out)
+            for plan, future in zip(plans, futures)
+        ]
 
 
-def _run_profiled(plans: list, out) -> None:
+def _run_profiled(plans: list, out) -> list:
     """Serial run under cProfile; prints the hottest functions per grid."""
     import cProfile
     import pstats
 
+    reports = []
     for plan in plans:
         profiler = cProfile.Profile()
         profiler.enable()
         report, elapsed = _timed_grid(plan)
         profiler.disable()
-        _emit_grid(plan[0], report, elapsed, out)
+        reports.append(_emit_grid(plan[0], report, elapsed, out))
         print(f"\n--- profile: {plan[0].name} (top 25 by cumulative time) ---")
         stats = pstats.Stats(profiler, stream=sys.stdout)
         stats.sort_stats("cumulative").print_stats(25)
+    return reports
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

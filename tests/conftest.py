@@ -9,8 +9,12 @@ Randomness outside hypothesis goes through the :class:`RngTree` fixtures
 below: ``rng_tree`` is the session root (seed from ``REPRO_TEST_SEED``,
 default 7) and ``rng`` derives a per-test stream from the test's node id,
 so adding or reordering tests never shifts another test's draws.
+
+``quick_report`` runs a registered grid at its ``--quick`` sizes once per
+session and hands every later caller the same report.
 """
 
+import functools
 import os
 
 import pytest
@@ -33,3 +37,19 @@ def rng_tree() -> RngTree:
 def rng(rng_tree, request):
     """A numpy generator unique to this test, derived from its node id."""
     return rng_tree.generator("tests", request.node.nodeid)
+
+
+@pytest.fixture(scope="session")
+def quick_report():
+    """``quick_report(name)``: the grid's ``--quick`` report, run once.
+
+    Callers that doctor the rows must copy them first.
+    """
+    from repro.grid import quick_overrides, resolve_grid, run_grid
+
+    @functools.cache
+    def run(name: str):
+        grid = resolve_grid(name)
+        return run_grid(grid, *quick_overrides(grid))
+
+    return run

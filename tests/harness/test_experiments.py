@@ -1,22 +1,43 @@
-"""Miniature versions of each figure grid.
+"""The runner helpers, and each figure's paper claims against a seeded bug.
 
-These run the exact code paths the benchmark files use, at tiny sizes,
-and assert the qualitative claims of the paper (the 'shape'): who wins,
-which way curves bend, which category dominates a breakdown.
+``tests/grid/test_quick_pins.py`` checks that the grids' claims hold at
+``--quick`` sizes; here each must also fail once a copy of the quick rows
+is doctored (a winner zeroed, a breakdown's dominant category moved), so
+no claim is vacuously true.
 """
+
+import copy
 
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.grid import end_to_end_scenario_cell, resolve_grid, run_cell, run_grid
+from repro.grid import (
+    check_claims, end_to_end_scenario_cell, resolve_grid, run_cell,
+)
 from repro.runtime import REGISTRY, make_workload
+from repro.simnet.counters import CycleCategory
 
 TINY = {"records_per_thread": 1200, "batch_records": 300}
 
 
-def grid(name: str, axes=None, **fixed):
-    """Run one registered grid with axis and fixed-knob overrides."""
-    return run_grid(resolve_grid(name), axis_overrides=axes, fixed_overrides=fixed)
+def row(rows: list, **where) -> dict:
+    """The one row matching every ``where`` field."""
+    (match,) = [r for r in rows if all(r[k] == v for k, v in where.items())]
+    return match
+
+
+def assert_caught(quick_report, name: str, claim: str, seed_bug) -> None:
+    """``claim`` holds on grid ``name``'s quick rows and fails once
+    ``seed_bug`` has doctored a copy of them."""
+    grid = resolve_grid(name)
+
+    def failed(rows):
+        return [c.text for c, held in check_claims(grid, rows, True) if held is False]
+
+    rows = copy.deepcopy(quick_report(name).rows)
+    assert claim not in failed(rows)
+    seed_bug(rows)
+    assert claim in failed(rows)
 
 
 class TestRunner:
@@ -43,151 +64,126 @@ class TestRunner:
 
 
 class TestFig6Shape:
-    def test_aggregations_ordering_and_render(self):
-        report = grid("fig6a-c", {"nodes": (2,)}, threads=4, **TINY)
-        by_system = {
-            row["system"]: row["throughput"]
-            for row in report.rows
-            if row["workload"] == "ysb"
-        }
-        assert by_system["slash"] > by_system["uppar"] > by_system["flink"]
-        rendered = report.render()
-        assert "ysb" in rendered and "slash/uppar" in rendered
-
-    def test_joins_ordering(self):
-        report = grid(
-            "fig6d-e", {"nodes": (2,)}, threads=4,
-            records_per_thread=500, batch_records=125,
+    def test_aggregations_ordering_and_render(self, quick_report):
+        assert_caught(
+            quick_report, "fig6a-c", "Slash > UpPar > Flink at every scale",
+            lambda rows: row(rows, workload="cm", nodes=4, system="slash")
+            .update(throughput=0.0),
         )
-        for workload in ("nb8", "nb11"):
-            by_system = {
-                row["system"]: row["throughput"]
-                for row in report.rows
-                if row["workload"] == workload
-            }
-            assert by_system["slash"] > by_system["flink"]
-            assert by_system["slash"] > by_system["uppar"]
+        assert "slash/uppar" in quick_report("fig6a-c").render()
+
+    def test_joins_ordering(self, quick_report):
+        assert_caught(
+            quick_report, "fig6d-e",
+            "Slash wins joins but by less than aggregations: 8x (NB8)",
+            lambda rows: row(rows, workload="nb11", nodes=2, system="flink")
+            .update(throughput=float("inf")),
+        )
 
 
 class TestFig7Shape:
-    def test_slash_beats_lightsaber_with_nodes(self):
-        report = grid(
-            "fig7", {"workload": ("ysb",), "nodes": ("L", 2, 4)},
-            threads=4, **TINY,
+    def test_slash_beats_lightsaber_with_nodes(self, quick_report):
+        assert_caught(
+            quick_report, "fig7",
+            "Slash beats LightSaber from 2 nodes on, up to 11.6x (YSB/CM) at 16",
+            lambda rows: row(rows, workload="nb7", nodes=4)
+            .update(speedup_vs_lightsaber=1.0),
         )
-        speedups = [
-            row["speedup_vs_lightsaber"]
-            for row in report.rows
-            if row["system"] == "slash"
-        ]
-        assert speedups[0] > 1.0  # 2 nodes already beat one scale-up node
-        assert speedups[1] > speedups[0]  # and it keeps scaling
 
 
 class TestFig8Shapes:
-    def test_buffer_sweep_throughput_grows_then_saturates(self):
-        report = grid(
-            "fig8ab", {"buffer": (4096, 65536)}, threads=2,
-            records_per_thread=20_000,
+    def test_buffer_sweep_throughput_grows_then_saturates(self, quick_report):
+        assert_caught(
+            quick_report, "fig8ab",
+            "Throughput rises with buffer size to a 32–64 KiB sweet spot "
+            "near the 11.8 GB/s line",
+            lambda rows: row(rows, system="slash", buffer_bytes=32768)
+            .update(throughput_bytes_per_s=0.0),
         )
-        slash = {
-            row["buffer_bytes"]: row["throughput_bytes_per_s"]
-            for row in report.rows
-            if row["system"] == "slash"
-        }
-        assert slash[65536] > slash[4096]
-        latency = {
-            row["buffer_bytes"]: row["mean_latency_s"]
-            for row in report.rows
-            if row["system"] == "slash"
-        }
-        assert latency[65536] > latency[4096]
+        assert_caught(
+            quick_report, "fig8ab",
+            "Latency < 100 µs below 128 KiB, ~1 ms at 1 MiB; UpPar ~10 % "
+            "above Slash",
+            lambda rows: row(rows, system="slash", buffer_bytes=65536)
+            .update(mean_latency_s=0.0),
+        )
 
-    def test_parallelism_slash_saturates_before_uppar(self):
-        report = grid("fig8c", {"threads": (2, 8)}, records_per_thread=20_000)
-        rows = {(r["system"], r["threads"]): r["throughput_bytes_per_s"] for r in report.rows}
-        assert rows[("slash", 2)] > rows[("uppar", 2)]
-        assert rows[("uppar", 8)] > rows[("uppar", 2)]
+    def test_parallelism_slash_saturates_before_uppar(self, quick_report):
+        assert_caught(
+            quick_report, "fig8c",
+            "UpPar needs 10 threads to approach the link (91 %)",
+            lambda rows: row(rows, system="slash", threads=2)
+            .update(throughput_bytes_per_s=0.0),
+        )
 
-    def test_skew_directions(self):
-        report = grid(
-            "fig8d", {"z": (0.2, 2.0)}, threads=4, records_per_thread=16_000
+    def test_skew_directions(self, quick_report):
+        assert_caught(
+            quick_report, "fig8d", "Slash *gains* on YSB under skew",
+            lambda rows: row(rows, workload="ysb", system="slash", z=2.0)
+            .update(throughput_records_per_s=0.0),
         )
-        rows = {
-            (r["workload"], r["system"], r["z"]): r for r in report.rows
-        }
-        # RO: UpPar collapses, Slash flat.
-        assert (
-            rows[("ro", "uppar", 2.0)]["throughput_bytes_per_s"]
-            < rows[("ro", "uppar", 0.2)]["throughput_bytes_per_s"]
-        )
-        slash_ratio = (
-            rows[("ro", "slash", 2.0)]["throughput_bytes_per_s"]
-            / rows[("ro", "slash", 0.2)]["throughput_bytes_per_s"]
-        )
-        assert slash_ratio > 0.85
-        # YSB: Slash rises with skew.
-        assert (
-            rows[("ysb", "slash", 2.0)]["throughput_records_per_s"]
-            > rows[("ysb", "slash", 0.2)]["throughput_records_per_s"]
+        assert_caught(
+            quick_report, "fig8d", "Slash constant on RO",
+            lambda rows: row(rows, workload="ro", system="slash", z=0.2)
+            .update(throughput_records_per_s=1.0),
         )
 
 
 class TestBreakdownShapes:
-    def test_fig9_verdicts(self):
-        report = grid("fig9", {"threads": (2,)}, records_per_thread=20_000)
-        rendered = report.render()
-        assert "uppar sender" in rendered
-        # The paper's verdicts: UpPar receiver core-bound (waiting on the
-        # slow sender); Slash sender core-bound (waiting on the network).
-        (payload,) = [r for r in report.rows if r["system"] == "uppar"]
-        from repro.simnet.counters import CycleCategory
-
-        receiver = payload["receiver"]
-        assert receiver[CycleCategory.CORE] == max(
-            v for k, v in receiver.items() if k != CycleCategory.RETIRING
+    def test_fig9_verdicts(self, quick_report):
+        assert_caught(
+            quick_report, "fig9",
+            "UpPar receiver core-bound (pause-spinning on the slow sender)",
+            lambda rows: row(rows, system="uppar", threads=2)["receiver"]
+            .update({CycleCategory.MEMORY: 1.0}),
         )
 
-    def test_fig10_slash_memory_bound(self):
-        report = grid("fig10", threads=4, records_per_thread=4_000)
-        (slash_row,) = [r for r in report.rows if r["system"] == "slash"]
-        from repro.simnet.counters import CycleCategory
+    def test_fig10_slash_memory_bound(self, quick_report):
+        assert_caught(
+            quick_report, "fig10", "slash (whole): memory-bound, ~20 % retiring",
+            lambda rows: row(rows, system="slash")["busy"]["slash (whole)"]
+            .update({CycleCategory.FRONTEND: 1.0}),
+        )
 
-        busy = slash_row["busy"]["slash (whole)"]
-        assert busy[CycleCategory.MEMORY] > busy[CycleCategory.FRONTEND]
-
-    def test_table1_magnitudes(self):
-        report = grid("table1", threads=4, records_per_thread=4_000)
-        rows = {r["who"]: r for r in report.rows}
-        # UpPar needs more cycles per record than Slash.
-        assert rows["uppar sender"]["cyc_per_rec"] > rows["slash"]["cyc_per_rec"] * 0.5
-        assert rows["slash"]["ipc"] > 0
-        assert rows["slash"]["mem_bw_bytes_per_s"] > 0
+    def test_table1_magnitudes(self, quick_report):
+        assert_caught(
+            quick_report, "table1", "Busy cyc/rec — paper 274 / 276 / 53",
+            lambda rows: row(rows, who="uppar sender").update(cyc_per_rec=0.0),
+        )
+        assert_caught(
+            quick_report, "table1",
+            "IPC — paper 0.6 / 0.4 / 0.9, all below the 4-wide peak",
+            lambda rows: row(rows, who="slash").update(ipc=4.5),
+        )
 
 
 class TestAblations:
-    def test_credits_eight_is_sweet_spot(self):
-        report = grid(
-            "abl-credits", {"credits": (1, 8)}, threads=2,
-            records_per_thread=20_000,
+    def test_credits_eight_is_sweet_spot(self, quick_report):
+        assert_caught(
+            quick_report, "abl-credits",
+            "c=8 credits best; deep rings buy nothing / regress ~10 %",
+            lambda rows: row(rows, credits=1)
+            .update(throughput_bytes_per_s=float("inf")),
         )
-        rows = {r["credits"]: r["throughput_bytes_per_s"] for r in report.rows}
-        assert rows[8] > rows[1]  # no pipelining with a single credit
 
-    def test_epoch_sweep_runs(self):
-        report = grid(
-            "abl-epoch", {"epoch_bytes": (16 * 1024, 1024 * 1024)},
-            nodes=2, threads=2,
+    def test_epoch_sweep_runs(self, quick_report):
+        assert_caught(
+            quick_report, "abl-epoch", "64 MB-proportional epoch default sensible",
+            lambda rows: row(rows, epoch_bytes=1024 * 1024).update(throughput=0.0),
         )
-        assert len(report.rows) == 2
-        assert all(r["throughput"] > 0 for r in report.rows)
 
-    def test_execution_strategy_compiled_faster(self):
-        report = grid("abl-exec", nodes=2, threads=2, records_per_thread=1000)
-        rows = {r["strategy"]: r["throughput"] for r in report.rows}
-        assert rows["compiled"] > rows["interpreted"]
+    def test_execution_strategy_compiled_faster(self, quick_report):
+        assert_caught(
+            quick_report, "abl-exec",
+            "Execution-strategy agnosticism: compiled and interpreted both run",
+            lambda rows: row(rows, strategy="interpreted")
+            .update(throughput=float("inf")),
+        )
 
-    def test_selective_signaling_wins(self):
-        report = grid("abl-signal", threads=2, records_per_thread=20_000)
-        rows = {r["signaled"]: r["throughput_bytes_per_s"] for r in report.rows}
-        assert rows[False] >= rows[True] * 0.98
+    def test_selective_signaling_wins(self, quick_report):
+        assert_caught(
+            quick_report, "abl-signal",
+            "Selective signaling saves per-message CPU (C2)",
+            lambda rows: row(rows, signaled=True)
+            .update(throughput_bytes_per_s=float("inf")),
+        )
